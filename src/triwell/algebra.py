@@ -21,7 +21,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import FockBasis, SparseHermitianOperator, build_basis, hop_operator
+from .fock import (FockBasis, SparseHermitianOperator, build_basis,
+                   hop_operator, symmetry_sectors)
 
 
 class ModelConsistencyError(RuntimeError):
@@ -104,7 +105,10 @@ def partner_mode(k: int) -> int:
 
 
 def generators(basis: FockBasis) -> GeneratorSet:
-    """Build Q1, Q2, P1..P3, J1..J3 as sparse Hermitian matrices."""
+    """Build Q1, Q2, P1..P3, J1..J3 as sparse Hermitian matrices.
+
+    Q and P are real; only the J are complex (imaginary antisymmetric).
+    """
     n_op = {i: hop_operator(basis, i, i) for i in (1, 2, 3)}
     q1 = 0.5 * (n_op[1] - n_op[2])
     q2 = (n_op[1] + n_op[2] - 2.0 * n_op[3]) / 3.0
@@ -139,12 +143,12 @@ def hamiltonian_terms(basis: FockBasis):
     hop = {(i, j): hop_operator(basis, i, j)
            for i in modes for j in modes if i != j}
     dim = basis.dimension
-    T = sp.csr_matrix((dim, dim), dtype=complex)
-    V = sp.csr_matrix((dim, dim), dtype=complex)
+    T = sp.csr_matrix((dim, dim))
+    V = sp.csr_matrix((dim, dim))
     for i, j in hop:
         T = T + hop[(i, j)]
     occ = basis.states.astype(float)
-    K = sp.diags(np.sum(occ * (occ - 1.0), axis=1), format="csr", dtype=complex)
+    K = sp.diags(np.sum(occ * (occ - 1.0), axis=1), format="csr")
     for i in modes:
         for j in modes:
             for k in modes:
@@ -197,26 +201,87 @@ def verify_equivalence(basis: FockBasis, params: ModelParams,
 
 
 @dataclass(frozen=True)
+class HamiltonianTerms:
+    """T, K and V of ``hamiltonian_terms`` on one shared CSR pattern.
+
+    ``values`` holds the three matrices' entries on that pattern, so that
+    H = omega_eff T + kappa K - 2 lam V is one elementwise sum instead of
+    four sparse-matrix operations.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray               # (3, nnz): T, K, V
+
+    @classmethod
+    def from_matrices(cls, T, K, V) -> "HamiltonianTerms":
+        dim = T.shape[0]
+        coo = [m.tocoo() for m in (T, K, V)]
+        keys = np.concatenate([c.row.astype(np.int64) * dim + c.col
+                               for c in coo])
+        pattern, slot = np.unique(keys, return_inverse=True)
+        values = np.zeros((3, pattern.size))
+        ends = np.cumsum([c.nnz for c in coo])
+        for row, c, end in zip(values, coo, ends):
+            np.add.at(row, slot[end - c.nnz:end], c.data)
+        indptr = np.searchsorted(pattern // dim, np.arange(dim + 1))
+        return cls(indptr, pattern % dim, values)
+
+    @property
+    def dimension(self) -> int:
+        return self.indptr.size - 1
+
+    def hamiltonian(self, params: ModelParams) -> SparseHermitianOperator:
+        t, k, v = self.values
+        data = params.omega_eff * t + params.kappa * k - 2.0 * params.lam * v
+        dim = self.dimension
+        return SparseHermitianOperator(
+            sp.csr_matrix((data, self.indices, self.indptr), shape=(dim, dim)),
+            check=False)
+
+
+@dataclass(frozen=True)
+class Sector:
+    """One S3 symmetry sector of an N-particle space: its isometries B and
+    the real blocks B^T T B, B^T K B, B^T V B of the Hamiltonian terms.
+
+    ``isometries`` holds one (D, d) matrix for A1 and A2 and the two
+    partners for E, which share the block.
+    """
+
+    label: str
+    isometries: tuple
+    terms: HamiltonianTerms
+
+
+def _project(isometry: sp.csr_matrix, m: sp.csr_matrix) -> sp.csr_matrix:
+    """B^T M B, symmetrized so that roundoff leaves it exactly symmetric."""
+    block = isometry.T @ m @ isometry
+    return ((block + block.T) * 0.5).tocsr()
+
+
+@dataclass(frozen=True)
 class ModelContext:
     """Cached per-N operator machinery shared by scans and solvers."""
 
     basis: FockBasis
-    tunneling: sp.csr_matrix
-    self_collision: sp.csr_matrix
-    cross_collision: sp.csr_matrix
+    terms: HamiltonianTerms
     gens: GeneratorSet
+    sectors: tuple                  # Sector, in the order A1, A2, E
 
     def hamiltonian(self, params: ModelParams) -> SparseHermitianOperator:
         if params.n_particles != self.basis.total_particles:
             raise ValueError("parameter N does not match cached context")
-        m = (params.omega_eff * self.tunneling
-             + params.kappa * self.self_collision
-             - 2.0 * params.lam * self.cross_collision)
-        return SparseHermitianOperator(m, check=False)
+        return self.terms.hamiltonian(params)
 
 
 @lru_cache(maxsize=None)
 def model_context(n_particles: int) -> ModelContext:
     basis = build_basis(n_particles)
-    T, K, V = hamiltonian_terms(basis)
-    return ModelContext(basis, T, K, V, generators(basis))
+    terms = hamiltonian_terms(basis)
+    sectors = tuple(
+        Sector(label, isometries, HamiltonianTerms.from_matrices(
+            *(_project(isometries[0], m) for m in terms)))
+        for label, isometries in symmetry_sectors(basis))
+    return ModelContext(basis, HamiltonianTerms.from_matrices(*terms),
+                        generators(basis), sectors)

@@ -123,6 +123,8 @@ def cmd_spectrum(args) -> int:
         "params": _params_dict(params),
         "k": args.k,
         "max_residual": float(np.max(result.residuals)),
+        "labels": list(result.labels),
+        "sector_gap": result.sector_gap,
         "wall_time_s": time.perf_counter() - t0,
     })
     return 0
@@ -198,12 +200,12 @@ def cmd_scaling(args) -> int:
 def cmd_fields(args) -> int:
     from .distributions import (count_local_maxima, husimi_population,
                                 phase_distribution, phase_marginal_variance)
-    from .spectral import ground_state
 
     n = _single_n(args)
     params = resolve_params(args, n)
     t0 = time.perf_counter()
-    _, state = ground_state(params)
+    result = spectrum(params, 1)
+    state = result.states[0]
     i_grid = np.linspace(0.0, float(n), args.pop_grid)
     husimi = husimi_population(state, i_grid, i_grid)
     phi_grid = 2.0 * np.pi * np.arange(args.phase_grid) / args.phase_grid
@@ -221,6 +223,8 @@ def cmd_fields(args) -> int:
         "params": _params_dict(params),
         "pop_grid": args.pop_grid,
         "phase_grid": args.phase_grid,
+        "labels": list(result.labels),
+        "sector_gap": result.sector_gap,
         "husimi_maxima_rel02": count_local_maxima(husimi, 0.2),
         "phase_circular_variance": phase_marginal_variance(phases),
         "wall_time_s": time.perf_counter() - t0,

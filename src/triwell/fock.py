@@ -1,13 +1,15 @@
-"""N-boson, three-mode Fock space and sparse bilinear ladder operators.
+"""N-boson, three-mode Fock space, sparse bilinear ladder operators and the
+S3 symmetry sectors.
 
 The basis enumerates occupation triples (n1, n2, n3) with n1 + n2 + n3 = N
-in lexicographic order on (n1, n2); n3 is implied.  All bilinears a_i^dag a_j
-are realized as sparse matrices on this basis.
+in lexicographic order on (n1, n2); n3 is implied, and ``lex_rank`` gives
+the position of a triple in closed form.  All bilinears a_i^dag a_j are
+realized as real sparse matrices on this basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,20 +19,32 @@ MODES = (1, 2, 3)
 _HERMITICITY_TOL = 1e-12
 
 
+def lex_rank(n_particles: int, n1, n2):
+    """Position of (n1, n2, N - n1 - n2) in the lexicographic basis order.
+
+    The states whose first occupation is below n1 number
+    n1 (N + 1) - n1 (n1 - 1) / 2; works elementwise on integer arrays.
+    """
+    return n1 * (n_particles + 1) - n1 * (n1 - 1) // 2 + n2
+
+
 @dataclass(frozen=True)
 class FockBasis:
     """Ordered enumeration of the N-particle, 3-mode occupation triples."""
 
     total_particles: int
     states: np.ndarray                       # (dim, 3) integer occupations
-    index_map: dict = field(repr=False)      # (n1, n2, n3) -> dense index
 
     @property
     def dimension(self) -> int:
         return self.states.shape[0]
 
     def index_of(self, occupations) -> int:
-        return self.index_map[tuple(int(n) for n in occupations)]
+        n1, n2, n3 = (int(n) for n in occupations)
+        if min(n1, n2, n3) < 0 or n1 + n2 + n3 != self.total_particles:
+            raise KeyError(f"{(n1, n2, n3)} is not an N = "
+                           f"{self.total_particles} occupation triple")
+        return int(lex_rank(self.total_particles, n1, n2))
 
 
 def build_basis(n_particles: int) -> FockBasis:
@@ -38,12 +52,9 @@ def build_basis(n_particles: int) -> FockBasis:
     if n_particles < 0:
         raise ValueError(f"particle number must be non-negative, got {n_particles}")
     n = int(n_particles)
-    triples = [(n1, n2, n - n1 - n2)
-               for n1 in range(n + 1)
-               for n2 in range(n - n1 + 1)]
-    states = np.array(triples, dtype=np.int64).reshape(len(triples), 3)
-    index_map = {t: i for i, t in enumerate(triples)}
-    return FockBasis(n, states, index_map)
+    n1 = np.repeat(np.arange(n + 1), np.arange(n + 1, 0, -1))
+    n2 = np.arange(n1.size) - lex_rank(n, n1, 0)
+    return FockBasis(n, np.stack([n1, n2, n - n1 - n2], axis=1))
 
 
 class SparseHermitianOperator:
@@ -150,23 +161,87 @@ def hop_operator(basis: FockBasis, i: int, j: int) -> sp.csr_matrix:
     dim = basis.dimension
     occ = basis.states
     if i == j:
-        return sp.diags(occ[:, i - 1].astype(float), format="csr", dtype=complex)
-    rows, cols, vals = [], [], []
-    for col in range(dim):
-        n = occ[col]
-        nj = n[j - 1]
-        if nj == 0:
-            continue
-        target = n.copy()
-        target[j - 1] -= 1
-        target[i - 1] += 1
-        row = basis.index_of(target)
-        rows.append(row)
-        cols.append(col)
-        vals.append(np.sqrt(nj * (n[i - 1] + 1.0)))
-    return sp.csr_matrix((np.asarray(vals, dtype=complex), (rows, cols)),
-                         shape=(dim, dim))
+        return sp.diags(occ[:, i - 1].astype(float), format="csr")
+    cols = np.flatnonzero(occ[:, j - 1])
+    target = occ[cols]
+    target[:, j - 1] -= 1
+    target[:, i - 1] += 1
+    rows = lex_rank(basis.total_particles, target[:, 0], target[:, 1])
+    vals = np.sqrt(occ[cols, j - 1] * (occ[cols, i - 1] + 1.0))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
 def number_operator(basis: FockBasis, i: int) -> sp.csr_matrix:
     return hop_operator(basis, i, i)
+
+
+# Orthonormal partners of the two-dimensional irrep E of S3 on the three
+# mode positions (the sum-zero plane): e1 is even and e2 odd under the swap
+# of positions 2 and 3.
+_E_PARTNERS = np.array([[2.0, -1.0, -1.0],
+                        [0.0, np.sqrt(3.0), -np.sqrt(3.0)]]) / np.sqrt(6.0)
+
+
+def symmetry_sectors(basis: FockBasis) -> list:
+    """Real orthonormal isometries onto the S3 irreducible sectors.
+
+    Mode permutations map basis states onto basis states, so the orbit of a
+    triple spans an invariant subspace.  An orbit of one state (all
+    occupations equal) carries A1, one of three (two equal) A1 + E, one of
+    six (all distinct) A1 + A2 + 2E.  A1 columns are normalized orbit sums,
+    A2 columns signed sums over six-state orbits.  An E column reads the
+    partner vectors at the position of the odd occupation (three-state
+    orbits) or of the largest one (six-state orbits); the second E copy of
+    a six-state orbit multiplies the other partner by the permutation sign.
+
+    Returns [(label, isometries)] for the non-empty sectors in the order
+    A1, A2, E; each isometry is a (D, d) CSR matrix.  E has two isometries,
+    the partners even and odd under the swap of modes 2 and 3, on which an
+    S3-invariant operator has the same block, so the sector dimensions
+    satisfy d_A1 + d_A2 + 2 d_E = D.
+    """
+    n = basis.total_particles
+    occ = basis.states
+    dim = basis.dimension
+    desc = -np.sort(-occ, axis=1)
+    _, orbit = np.unique(lex_rank(n, desc[:, 0], desc[:, 1]),
+                         return_inverse=True)
+    # number of distinct occupations: 1, 2 or 3
+    kind = 1 + (desc[:, 0] != desc[:, 1]) + (desc[:, 1] != desc[:, 2])
+    orbit_kind = np.zeros(orbit.max() + 1, dtype=int)
+    orbit_kind[orbit] = kind
+    inversions = np.sum(occ[:, [0, 0, 1]] < occ[:, [1, 2, 2]], axis=1)
+    sign = 1.0 - 2.0 * (inversions % 2)
+    odd_one = np.where(occ[:, 0] == occ[:, 1], 2,
+                       np.where(occ[:, 0] == occ[:, 2], 1, 0))
+    pos = np.where(kind == 2, odd_one, np.argmax(occ, axis=1))
+
+    a1 = _isometry(dim, np.arange(dim), orbit,
+                   1.0 / np.sqrt(np.array([0.0, 1.0, 3.0, 6.0])[kind]),
+                   orbit_kind.size)
+    six = np.flatnonzero(kind == 3)
+    a2_col = np.cumsum(orbit_kind == 3) - 1
+    a2 = _isometry(dim, six, a2_col[orbit[six]], sign[six] / np.sqrt(6.0),
+                   int(np.sum(orbit_kind == 3)))
+
+    width = np.array([0, 0, 1, 2])[orbit_kind]
+    start = np.cumsum(width) - width
+    carry = np.flatnonzero(kind > 1)
+    rows = np.concatenate([carry, six])
+    cols = np.concatenate([start[orbit[carry]], start[orbit[six]] + 1])
+    weight = np.where(kind == 2, 1.0, np.sqrt(0.5))
+    e1, e2 = _E_PARTNERS[0][pos], _E_PARTNERS[1][pos]
+    even = np.concatenate([weight[carry] * e1[carry],
+                           weight[six] * sign[six] * e2[six]])
+    odd = np.concatenate([weight[carry] * e2[carry],
+                          -weight[six] * sign[six] * e1[six]])
+    e_isometries = tuple(_isometry(dim, rows, cols, v, int(width.sum()))
+                         for v in (even, odd))
+    sectors = [("A1", (a1,)), ("A2", (a2,)), ("E", e_isometries)]
+    return [(label, isos) for label, isos in sectors if isos[0].shape[1]]
+
+
+def _isometry(dim, rows, cols, vals, width):
+    m = sp.csr_matrix((vals, (rows, cols)), shape=(dim, width))
+    m.eliminate_zeros()
+    return m

@@ -1,13 +1,26 @@
-"""Hermitian eigensolver facade for ground states and low-lying spectra.
+"""Symmetry-adapted eigensolver for ground states and low-lying spectra.
 
-Dense LAPACK is used up to dimension 2000 (N = 60 gives dimension 1891);
-above that a restarted Krylov solve with a fixed starting vector keeps
-results deterministic.  A dense fallback guards against Krylov
-misconvergence on near-degenerate clusters.
+The Hamiltonian is real and commutes with every permutation of the three
+modes (the group S3), so it is block diagonal on the A1, A2 and E sectors
+that ``model_context`` carries (see ``fock.symmetry_sectors``).  Each block
+is solved on its own in float64 and the levels are merged; an E level is
+doubly degenerate and is reported once per partner.  Inside a cluster of
+levels closer than the ``degenerate_clusters`` tolerance the order is A1,
+A2, E, so a quasi-degenerate ground state is the symmetric one whenever A1
+is in its cluster: symmetry, not LAPACK, picks the vector.
+Perron-Frobenius proves an A1 ground state only for omega < 0, mu = 0;
+otherwise the minimum over the sectors decides.
+
+Dense LAPACK solves the blocks while the full dimension is at most 2000
+(N = 60 gives dimension 1891); above that a restarted Krylov solve with a
+fixed starting vector keeps results deterministic.  A dense fallback on the
+block guards against Krylov misconvergence.  Reported residuals are those
+of the lifted vectors in the full space.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +33,8 @@ from .fock import SparseHermitianOperator
 
 DENSE_LIMIT = 2000
 _RESIDUAL_FACTOR = 1e-10
+# Order of the sectors inside a quasi-degenerate cluster.
+_SECTOR_ORDER = {"A1": 0, "A2": 1, "E": 2}
 
 
 class SolverError(RuntimeError):
@@ -28,37 +43,51 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    eigenvalues: np.ndarray          # ascending
+    eigenvalues: np.ndarray          # ascending; A1, A2, E inside a cluster
     states: list                     # QuantumState, same order
     residuals: np.ndarray            # per-pair ||Hv - Ev||
+    labels: tuple = ()               # per-level sector: "A1", "A2" or "E"
+    # lowest level of a sector other than the ground level's, minus the
+    # ground level (inf when there is no other sector)
+    sector_gap: float = math.nan
 
 
 def eigensolve_lowest(operator: SparseHermitianOperator, k: int,
-                      basis=None) -> SpectrumResult:
-    """k lowest eigenpairs with phase-fixed, orthonormal eigenvectors."""
+                      basis=None, dense: bool | None = None) -> SpectrumResult:
+    """k lowest eigenpairs of a real symmetric operator, with orthonormal,
+    sign-fixed eigenvectors.
+
+    ``dense`` selects LAPACK over Krylov; by default LAPACK is used up to
+    dimension DENSE_LIMIT.
+    """
     dim = operator.dimension
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in 1..{dim}, got {k}")
     m = operator.matrix
-    if dim <= DENSE_LIMIT or k > dim // 4:
+    if dense is None:
+        dense = dim <= DENSE_LIMIT
+    if dense or k > dim // 4:
         vals, vecs = la.eigh(m.toarray(), subset_by_index=[0, k - 1])
     else:
         vals, vecs = _krylov_lowest(m, k)
-    vecs = np.ascontiguousarray(vecs[:, np.argsort(vals)])
+    vecs = _fix_signs(vecs[:, np.argsort(vals)])
     vals = np.sort(vals)
-    vecs = _fix_phases(vecs)
     residuals = np.linalg.norm(m @ vecs - vecs * vals[None, :], axis=0)
     scale = max(1.0, float(np.max(np.abs(vals))))
     if np.any(residuals > _RESIDUAL_FACTOR * scale):
         # Krylov result did not meet the residual invariant; redo densely.
         vals, vecs = la.eigh(m.toarray(), subset_by_index=[0, k - 1])
-        vecs = _fix_phases(vecs)
+        vecs = _fix_signs(vecs)
         residuals = np.linalg.norm(m @ vecs - vecs * vals[None, :], axis=0)
-        if np.any(residuals > _RESIDUAL_FACTOR * scale):
-            raise SolverError(
-                f"residuals {residuals} exceed {_RESIDUAL_FACTOR:g} * {scale:g}")
+        _check_residuals(residuals, scale)
     states = [_wrap_state(vecs[:, i], basis) for i in range(k)]
     return SpectrumResult(vals, states, residuals)
+
+
+def _check_residuals(residuals, scale):
+    if np.any(residuals > _RESIDUAL_FACTOR * scale):
+        raise SolverError(
+            f"residuals {residuals} exceed {_RESIDUAL_FACTOR:g} * {scale:g}")
 
 
 def _krylov_lowest(m, k):
@@ -73,15 +102,10 @@ def _krylov_lowest(m, k):
     return vals, vecs
 
 
-def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude amplitude of each vector real positive."""
-    out = np.array(vecs, dtype=complex)
-    for i in range(out.shape[1]):
-        pivot = int(np.argmax(np.abs(out[:, i])))
-        z = out[pivot, i]
-        out[:, i] *= np.conj(z) / abs(z)
-        out[:, i] /= np.linalg.norm(out[:, i])
-    return out
+def _fix_signs(vecs: np.ndarray) -> np.ndarray:
+    """Make the largest-magnitude amplitude of each real vector positive."""
+    pivots = np.argmax(np.abs(vecs), axis=0)
+    return vecs * np.sign(vecs[pivots, np.arange(vecs.shape[1])])
 
 
 def _wrap_state(vec, basis):
@@ -106,9 +130,40 @@ def degenerate_clusters(eigenvalues: np.ndarray,
 
 
 def spectrum(params: ModelParams, k: int) -> SpectrumResult:
-    """k lowest eigenpairs of the model Hamiltonian at the given parameters."""
+    """k lowest eigenpairs of the model Hamiltonian at the given parameters,
+    solved sector by sector and labelled A1, A2 or E."""
     ctx = model_context(params.n_particles)
-    return eigensolve_lowest(ctx.hamiltonian(params), k, basis=ctx.basis)
+    dim = ctx.basis.dimension
+    if not 1 <= k <= dim:
+        raise ValueError(f"k must be in 1..{dim}, got {k}")
+    levels = []                      # (energy, label, block vector, isometry)
+    for sector in ctx.sectors:
+        partners = len(sector.isometries)
+        block = eigensolve_lowest(
+            sector.terms.hamiltonian(params),
+            min(-(-k // partners), sector.terms.dimension),
+            dense=dim <= DENSE_LIMIT)
+        for energy, vec in zip(block.eigenvalues, block.states):
+            levels += [(float(energy), sector.label, vec, isometry)
+                       for isometry in sector.isometries]
+    levels.sort(key=lambda level: level[0])
+    clusters = degenerate_clusters(np.array([level[0] for level in levels]))
+    levels = [level for cluster in clusters
+              for level in sorted((levels[i] for i in cluster),
+                                  key=lambda level: _SECTOR_ORDER[level[1]])]
+    ground, ground_label = levels[0][0], levels[0][1]
+    other = [level[0] for level in levels if level[1] != ground_label]
+    kept = levels[:k]
+    vals = np.array([level[0] for level in kept])
+    vecs = _fix_signs(np.column_stack(
+        [isometry @ vec for _, _, vec, isometry in kept]))
+    h = ctx.hamiltonian(params).matrix
+    residuals = np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
+    _check_residuals(residuals, max(1.0, float(np.max(np.abs(vals)))))
+    return SpectrumResult(
+        vals, [QuantumState(ctx.basis, vecs[:, i]) for i in range(k)],
+        residuals, tuple(level[1] for level in kept),
+        min(other, default=math.inf) - ground)
 
 
 def ground_state(params: ModelParams):

@@ -148,3 +148,19 @@ def test_fields_metadata_counts(tmp_path):
     assert husimi_lines[0] == "i1,i2,q"
     # only valid simplex points are written: fewer than the full grid square
     assert len(husimi_lines) - 1 < 31 * 31
+
+
+def test_sidecars_record_symmetry_labels_and_gap(tmp_path):
+    out = tmp_path / "spec"
+    assert main(["spectrum", "--n", "12", "--chi", "3.0", "--k", "4",
+                 "--out", str(out)]) == 0
+    meta = json.loads(read(out / "spectrum.meta.json"))
+    assert meta["labels"][0] == "A1" and len(meta["labels"]) == 4
+    assert set(meta["labels"]) <= {"A1", "A2", "E"}
+    assert meta["sector_gap"] > 0.0
+    assert read(out / "spectrum.csv").splitlines()[0] == "index,energy,residual"
+    out = tmp_path / "fields"
+    assert main(["fields", "--n", "8", "--chi", "1.0", "--pop-grid", "11",
+                 "--phase-grid", "16", "--out", str(out)]) == 0
+    meta = json.loads(read(out / "fields.meta.json"))
+    assert meta["labels"] == ["A1"] and meta["sector_gap"] > 0.0

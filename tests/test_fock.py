@@ -126,3 +126,35 @@ def test_operator_arithmetic_and_expectation():
     v[basis.index_of((2, 0, 0))] = 1.0
     assert combined.expectation(v) == pytest.approx(4.0)
     assert op.hermiticity_defect() == 0.0
+
+
+def _hop_reference(basis, i, j):
+    """Loop over basis states with a dict lookup of the target state."""
+    index = {tuple(int(x) for x in occ): k for k, occ in enumerate(basis.states)}
+    m = np.zeros((basis.dimension, basis.dimension))
+    for col, occ in enumerate(basis.states):
+        if occ[j - 1] == 0:
+            continue
+        target = occ.copy()
+        target[j - 1] -= 1
+        target[i - 1] += 1
+        m[index[tuple(int(x) for x in target)], col] = np.sqrt(
+            occ[j - 1] * (occ[i - 1] + 1.0))
+    return m
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 7])
+def test_hop_matches_loop_reference(n):
+    basis = build_basis(n)
+    for i in (1, 2, 3):
+        for j in (1, 2, 3):
+            if i != j:
+                assert np.array_equal(hop_operator(basis, i, j).toarray(),
+                                      _hop_reference(basis, i, j))
+
+
+def test_index_of_rejects_foreign_triples():
+    basis = build_basis(4)
+    for occ in ((1, 1, 1), (5, 0, -1), (0, 0, 5)):
+        with pytest.raises(KeyError):
+            basis.index_of(occ)
