@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .algebra import ModelConsistencyError, ModelParams
 from .purity import (BracketingError as PurityBracketingError, critical_chi_q,
-                     power_law_fit, purity_scan)
+                     map_tasks, power_law_fit, purity_scan)
 from .semiclassical import (BracketingError as ClassicalBracketingError,
                             ClassicalPoint, IntegrationError, find_fixed_points,
                             integrate_trajectory, theta_min_analysis,
@@ -165,11 +165,7 @@ def cmd_scaling(args) -> int:
     window = (args.window_min, args.window_max)
     tasks = [(args.omega, mu, n, window, args.tol) for n in args.n]
     t0 = time.perf_counter()
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = dict(pool.map(_scaling_task, tasks))
-    else:
-        results = dict(map(_scaling_task, tasks))
+    results = dict(map_tasks(_scaling_task, tasks, args.workers))
     ns = sorted(results)
     chi_cq = [results[n] for n in ns]
     fit = power_law_fit(ns, chi_cq, args.chi_c) if len(ns) >= 3 else None
@@ -276,28 +272,34 @@ def cmd_fixed_points(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
+    if not (0 < args.t_max < math.inf and 0 < args.dt < math.inf):
+        raise UsageError("--t-max and --dt must be positive and finite")
     n = _single_n(args)
     params = resolve_params(args, n)
     inits = args.init or [(1.9106332362490186, 0.0)]
     out = _outdir(args)
     t0 = time.perf_counter()
-    drifts = []
+    runs = []
     for idx, (theta, phi) in enumerate(inits):
         start = ClassicalPoint.from_twin_angles(theta, phi)
         traj = integrate_trajectory(start, params, args.t_max, args.dt)
         i1, i2, phi1, phi2 = traj.canonical_arrays()
         rows = list(zip(traj.times, i1, i2, phi1, phi2, traj.i_z(),
                         traj.energies))
-        write_csv(out / f"trajectory_{idx:03d}.csv",
+        name = f"trajectory_{idx:03d}.csv"
+        write_csv(out / name,
                   ["t", "i1", "i2", "phi1", "phi2", "i_z", "energy"], rows)
-        drifts.append(traj.relative_energy_drift)
+        runs.append({"file": name, "rtol": traj.rtol,
+                     "relative_energy_drift": traj.relative_energy_drift})
     write_metadata(out / "trajectory.meta.json", {
         "command": "trajectory",
         "params": _params_dict(params),
         "initial_conditions": [list(ic) for ic in inits],
         "t_max": args.t_max,
         "dt": args.dt,
-        "max_relative_energy_drift": max(drifts),
+        "trajectories": runs,
+        "max_relative_energy_drift": max(r["relative_energy_drift"]
+                                         for r in runs),
         "wall_time_s": time.perf_counter() - t0,
     })
     return 0

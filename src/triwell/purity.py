@@ -142,6 +142,14 @@ def _scan_point(args):
     return chi, ground_state_purity(omega, mu, n, chi)
 
 
+def map_tasks(fn, tasks, workers: int = 1) -> list:
+    """[fn(t) for t in tasks], in a pool of ``workers`` processes if > 1."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return list(map(fn, tasks))
+
+
 def purity_scan(omega: float, mu: float, n_particles: int, chi_grid,
                 workers: int = 1) -> PurityScan:
     """Ground-state purity over an ascending chi grid, with dP/dchi."""
@@ -149,11 +157,7 @@ def purity_scan(omega: float, mu: float, n_particles: int, chi_grid,
     if grid.size < 1 or np.any(np.diff(grid) <= 0):
         raise ValueError("chi grid must be non-empty and strictly ascending")
     tasks = [(omega, mu, n_particles, chi) for chi in grid]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_scan_point, tasks))
-    else:
-        results = dict(map(_scan_point, tasks))
+    results = dict(map_tasks(_scan_point, tasks, workers))
     purity = np.array([results[chi] for chi in grid])
     derivative = np.full_like(purity, np.nan)
     if grid.size >= 3:

@@ -7,9 +7,11 @@ and the theta_min / H_min first-order analysis.
 
 Trajectories are integrated in the w-chart, which is free of coordinate
 singularities at empty wells or equal phases; the canonical chart
-(I1, I2, phi1, phi2) is a post-processing conversion.  Analytic canonical
-partial derivatives and Hessians are generated symbolically once per
-process and cached.
+(I1, I2, phi1, phi2) is a post-processing conversion.  The w-chart flow,
+the energy samples and the canonical Hessian behind the fixed-point
+stability are closed forms in numpy; only canonical_hamiltonian,
+canonical_gradient and canonical_velocity build a symbolic (sympy) chart,
+once per process.
 """
 
 from __future__ import annotations
@@ -114,6 +116,7 @@ class Trajectory:
     w2: np.ndarray
     energies: np.ndarray
     params: ModelParams
+    rtol: float                    # integrator tolerance the run passed at
 
     @property
     def relative_energy_drift(self) -> float:
@@ -136,79 +139,134 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Energy surface and its w-chart gradient
+# Energy surface and its w-chart flow
 # ---------------------------------------------------------------------------
 
-def _moments(w: np.ndarray):
-    """(h1, h2, h3, D) for the 3-vector (w1, w2, 1)."""
-    wf = np.array([w[0], w[1], 1.0], dtype=complex)
-    d = float(np.sum(np.abs(wf) ** 2))
-    s = np.sum(wf)
-    h1 = abs(s) ** 2 - d
-    h2 = float(np.sum(np.abs(wf) ** 4))
-    h3 = 0.0 + 0.0j
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                if len({i, j, k}) == 3:
-                    h3 += abs(wf[i]) ** 2 * np.conj(wf[j]) * wf[k]
-    return h1.real, h2, h3, d
+def _moments(w1, w2):
+    """(h1, h2, h3, D) of the 3-vector (w1, w2, 1), in closed form.
+
+    h1 = |sum w|^2 - D, h2 = sum |w_i|^4 and h3 = sum over distinct
+    (i, j, k) of |w_i|^2 conj(w_j) w_k = 2 sum_i |w_i|^2 Re(conj(w_j) w_k),
+    which is real.  Only operators and ``.real``/``.conjugate()`` are used,
+    so w1, w2 may be Python scalars or complex arrays of one shape.
+    """
+    a1 = (w1 * w1.conjugate()).real
+    a2 = (w2 * w2.conjugate()).real
+    x12 = (w1.conjugate() * w2).real
+    d = a1 + a2 + 1.0
+    h1 = 2.0 * (x12 + w1.real + w2.real)
+    h2 = a1 * a1 + a2 * a2 + 1.0
+    h3 = 2.0 * (a1 * w2.real + a2 * w1.real + x12)
+    return h1, h2, h3, d
 
 
-def classical_hamiltonian(point: ClassicalPoint, params: ModelParams) -> float:
-    """Coherent-state energy surface <N; w| H |N; w> in closed form."""
-    h1, h2, h3, d = _moments(point.w_vector())
+def classical_hamiltonian(point: ClassicalPoint, params: ModelParams):
+    """Coherent-state energy surface <N; w| H |N; w> in closed form.
+
+    A float at a point; an array of energies when ``point.w1`` and
+    ``point.w2`` are complex arrays of one shape.
+    """
+    h1, h2, h3, d = _moments(point.w1, point.w2)
     n = params.n_particles
     value = (params.omega_eff * n * h1 / d
-             + n * (n - 1) * (params.kappa * h2 - 2.0 * params.lam * h3.real)
+             + n * (n - 1) * (params.kappa * h2 - 2.0 * params.lam * h3)
              / d ** 2)
-    return float(value)
+    return value if isinstance(value, np.ndarray) else float(value)
+
+
+def _gradient(w1: complex, w2: complex, params: ModelParams):
+    """Wirtinger gradient (dH/d conj(w1), dH/d conj(w2)) at a scalar point."""
+    h1, h2, h3, d = _moments(w1, w2)
+    a1, a2 = (w1 * w1.conjugate()).real, (w2 * w2.conjugate()).real
+    n = params.n_particles
+    lin = params.omega_eff * n / (d * d)
+    quad = n * (n - 1) / (d * d * d)
+    kappa, lam2 = params.kappa, 2.0 * params.lam
+
+    def component(wm, dh1, dh2, dh3):
+        return (lin * (dh1 * d - h1 * wm)
+                + quad * (kappa * (dh2 * d - 2.0 * h2 * wm)
+                          - lam2 * (dh3 * d - 2.0 * h3 * wm)))
+
+    return (component(w1, w2 + 1.0, 2.0 * a1 * w1,
+                      2.0 * w1 * w2.real + a2 + w2),
+            component(w2, w1 + 1.0, 2.0 * a2 * w2,
+                      2.0 * w2 * w1.real + a1 + w1))
+
+
+def _velocity(w1: complex, w2: complex, params: ModelParams):
+    """dw/dt = -i g^{-1} dH/d(conj w) at a scalar point.
+
+    The coherent-state metric g = N (D 1 - w w^dag) / D^2 has the closed-form
+    inverse g^{-1} = (D/N)(1 + w w^dag), since D = 1 + w^dag w.
+    """
+    g1, g2 = _gradient(w1, w2, params)
+    d = (w1 * w1.conjugate()).real + (w2 * w2.conjugate()).real + 1.0
+    scale = -1j * d / params.n_particles
+    proj = w1.conjugate() * g1 + w2.conjugate() * g2
+    return scale * (g1 + w1 * proj), scale * (g2 + w2 * proj)
 
 
 def w_gradient(w: np.ndarray, params: ModelParams) -> np.ndarray:
     """Wirtinger gradient dH/d(conj(w_m)), m = 1, 2, of the energy surface."""
-    wf = np.array([w[0], w[1], 1.0], dtype=complex)
-    h1, h2, h3, d = _moments(w)
-    s = np.sum(wf)
-    n = params.n_particles
-    grad = np.zeros(2, dtype=complex)
-    for m in range(2):
-        others = [i for i in range(3) if i != m]
-        a, b = wf[others[0]], wf[others[1]]
-        dh1 = s - wf[m]
-        dh2 = 2.0 * abs(wf[m]) ** 2 * wf[m]
-        dh3 = (wf[m] * 2.0 * np.real(np.conj(a) * b)
-               + abs(a) ** 2 * b + abs(b) ** 2 * a)
-        dd = wf[m]
-        grad[m] = (params.omega_eff * n * (dh1 * d - h1 * dd) / d ** 2
-                   + n * (n - 1)
-                   * (params.kappa * (dh2 * d - 2.0 * h2 * dd)
-                      - 2.0 * params.lam * (dh3 * d - 2.0 * h3 * dd))
-                   / d ** 3)
-    return grad
-
-
-def _metric(w: np.ndarray, n: int) -> np.ndarray:
-    """Coherent-state (Kaehler) metric g_jk on the w-chart."""
-    d = abs(w[0]) ** 2 + abs(w[1]) ** 2 + 1.0
-    return n * (d * np.eye(2) - np.outer(w, np.conj(w))) / d ** 2
+    return np.array(_gradient(complex(w[0]), complex(w[1]), params))
 
 
 def w_velocity(point: ClassicalPoint, params: ModelParams) -> np.ndarray:
     """dw/dt = -i g^{-1} dH/d(conj w) on the w-chart."""
-    w = point.w_vector()
-    g = _metric(w, params.n_particles)
-    return -1j * np.linalg.solve(g, w_gradient(w, params))
+    return np.array(_velocity(complex(point.w1), complex(point.w2), params))
 
 
 # ---------------------------------------------------------------------------
-# Canonical chart: symbolic H, gradient and Hessian
+# Canonical chart
 # ---------------------------------------------------------------------------
+
+# H(I1, I2, phi1, phi2) with I3 = N - I1 - I2 is the sum of nine terms
+# c_t * I1^e1 I2^e2 I3^e3 * cos(a1 phi1 + a2 phi2): rows of exponents e and
+# phase multipliers a, three each for tunneling (c = 2 omega_eff), self
+# collision (c = kappa (N-1)/N) and cross collision (c = -4 lam (N-1)/N).
+_TERM_EXPONENTS = np.array([
+    [0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5],
+    [2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0],
+    [1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]])
+_TERM_PHASES = np.array([
+    [1.0, -1.0], [1.0, 0.0], [0.0, 1.0],
+    [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+    [0.0, 1.0], [1.0, 0.0], [1.0, -1.0]])
+# d(I1, I2, I3)/d(I1, I2)
+_CHAIN = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
+
+
+def linearization(point: ClassicalPoint, params: ModelParams) -> np.ndarray:
+    """Linearized canonical flow matrix S * Hess(H) at a phase-space point.
+
+    S maps the gradient to the flow dI/dt = -dH/dphi, dphi/dt = dH/dI.
+    The Hessian is summed in closed form over the nine terms of H.
+    """
+    n = params.n_particles
+    i1, i2, phi1, phi2 = point.canonical(n)
+    occ = np.array([i1, i2, n - i1 - i2])
+    q = (n - 1) / n
+    coeff = np.repeat([2.0 * params.omega_eff, q * params.kappa,
+                       -4.0 * q * params.lam], 3)
+    term = coeff * np.prod(occ ** _TERM_EXPONENTS, axis=1)
+    angle = _TERM_PHASES @ np.array([phi1, phi2])
+    tc, ts = term * np.cos(angle), term * np.sin(angle)
+    # Per term, with C = _CHAIN and u = C (e/I): grad I^e = I^e u and
+    # Hess I^e = I^e (u u^T - C diag(e/I^2) C^T).
+    u = (_TERM_EXPONENTS / occ) @ _CHAIN.T
+    curv = (tc @ (_TERM_EXPONENTS / occ ** 2)) * _CHAIN
+    h_ii = (u.T * tc) @ u - curv @ _CHAIN.T
+    h_ip = -(u.T * ts) @ _TERM_PHASES
+    h_pp = -(_TERM_PHASES.T * tc) @ _TERM_PHASES
+    return np.block([[-h_ip.T, -h_pp], [h_ii, h_ip]])
+
 
 _CANONICAL_CACHE = None
 
 
 def _canonical_functions():
+    """Symbolic H and gradient in the canonical chart, built once."""
     global _CANONICAL_CACHE
     if _CANONICAL_CACHE is None:
         import sympy as sym
@@ -227,25 +285,23 @@ def _canonical_functions():
         ham = omp * tun + quad
         coords = (i1, i2, p1, p2)
         grad = [sym.diff(ham, v) for v in coords]
-        hess = [[sym.diff(g, v) for v in coords] for g in grad]
         args = coords + (omp, kp, lm, n)
         _CANONICAL_CACHE = (
             sym.lambdify(args, ham, "numpy"),
             sym.lambdify(args, grad, "numpy"),
-            sym.lambdify(args, hess, "numpy"),
         )
     return _CANONICAL_CACHE
 
 
 def canonical_hamiltonian(i1, i2, phi1, phi2, params: ModelParams) -> float:
-    ham, _, _ = _canonical_functions()
+    ham, _ = _canonical_functions()
     return float(ham(i1, i2, phi1, phi2, params.omega_eff, params.kappa,
                      params.lam, params.n_particles))
 
 
 def canonical_gradient(i1, i2, phi1, phi2, params: ModelParams) -> np.ndarray:
     """(dH/dI1, dH/dI2, dH/dphi1, dH/dphi2), analytic."""
-    _, grad, _ = _canonical_functions()
+    _, grad = _canonical_functions()
     return np.asarray(grad(i1, i2, phi1, phi2, params.omega_eff, params.kappa,
                            params.lam, params.n_particles), dtype=float)
 
@@ -275,19 +331,6 @@ def equations_of_motion(point: ClassicalPoint, params: ModelParams,
     return "canonical", canonical_velocity(point, params)
 
 
-def linearization(point: ClassicalPoint, params: ModelParams) -> np.ndarray:
-    """Linearized canonical flow matrix S * Hess(H) at a phase-space point."""
-    _, _, hess_fn = _canonical_functions()
-    i1, i2, phi1, phi2 = point.canonical(params.n_particles)
-    hess = np.asarray(hess_fn(i1, i2, phi1, phi2, params.omega_eff,
-                              params.kappa, params.lam, params.n_particles),
-                      dtype=float)
-    s = np.zeros((4, 4))
-    s[0, 2] = s[1, 3] = -1.0
-    s[2, 0] = s[3, 1] = 1.0
-    return s @ hess
-
-
 def _classify_stability(eigenvalues: np.ndarray) -> str:
     scale = float(np.max(np.abs(eigenvalues)))
     if scale == 0.0:
@@ -301,9 +344,9 @@ def _classify_stability(eigenvalues: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 
 def _rhs(_t, y, params):
-    point = ClassicalPoint(complex(y[0], y[1]), complex(y[2], y[3]))
-    v = w_velocity(point, params)
-    return [v[0].real, v[0].imag, v[1].real, v[1].imag]
+    x1, y1, x2, y2 = y.tolist()
+    v1, v2 = _velocity(complex(x1, y1), complex(x2, y2), params)
+    return [v1.real, v1.imag, v2.real, v2.imag]
 
 
 def integrate_trajectory(init: ClassicalPoint, params: ModelParams,
@@ -322,10 +365,8 @@ def integrate_trajectory(init: ClassicalPoint, params: ModelParams,
             raise IntegrationError(f"integrator failed: {sol.message}")
         w1 = sol.y[0] + 1j * sol.y[1]
         w2 = sol.y[2] + 1j * sol.y[3]
-        energies = np.array([
-            classical_hamiltonian(ClassicalPoint(a, b), params)
-            for a, b in zip(w1, w2)])
-        last = Trajectory(sol.t, w1, w2, energies, params)
+        energies = classical_hamiltonian(ClassicalPoint(w1, w2), params)
+        last = Trajectory(sol.t, w1, w2, energies, params, rtol)
         if last.relative_energy_drift <= drift_tol:
             return last
     raise IntegrationError(

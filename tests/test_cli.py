@@ -122,6 +122,34 @@ def test_trajectory_files_and_drift(tmp_path):
     assert header == "t,i1,i2,phi1,phi2,i_z,energy"
 
 
+def test_trajectory_sidecar_records_rtol_and_drift(tmp_path):
+    out = tmp_path / "tr"
+    assert main(["trajectory", "--n", "30", "--chi", "3.0",
+                 "--init", "0.6,0.0", "--init", "1.9,0.2",
+                 "--t-max", "2.0", "--dt", "0.5", "--out", str(out)]) == 0
+    meta = json.loads(read(out / "trajectory.meta.json"))
+    runs = meta["trajectories"]
+    assert [r["file"] for r in runs] == ["trajectory_000.csv",
+                                         "trajectory_001.csv"]
+    for r in runs:
+        assert set(r) == {"file", "rtol", "relative_energy_drift"}
+        assert r["rtol"] in (1e-10, 1e-12)
+        assert 0.0 <= r["relative_energy_drift"] < 1e-8
+    assert meta["max_relative_energy_drift"] == max(
+        r["relative_energy_drift"] for r in runs)
+
+
+@pytest.mark.parametrize("flag", ["--t-max", "--dt"])
+@pytest.mark.parametrize("value", ["0", "-1.5", "inf", "nan"])
+def test_trajectory_nonpositive_time_is_usage_error(tmp_path, capsys, flag,
+                                                    value):
+    code = main(["trajectory", "--n", "30", "--chi", "1.5", flag, value,
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("trajectory*"))
+
+
 def test_theta_min_csv(tmp_path):
     out = tmp_path / "tm"
     code = main(["theta-min", "--chi-min", "1.8", "--chi-max", "2.2",

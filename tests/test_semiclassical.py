@@ -1,5 +1,15 @@
+import cmath
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from triwell.algebra import ModelParams
 from triwell.semiclassical import (BracketingError, ClassicalPoint,
@@ -41,6 +51,86 @@ def test_w_gradient_finite_difference():
             # dH/dRe w = 2 Re grad, dH/dIm w = 2 Im grad (Wirtinger)
             assert (hp - hm) / (2 * eps) == pytest.approx(
                 2.0 * picker(grad[m]), rel=1e-6, abs=1e-6)
+
+
+def _complex_w():
+    """Zero, or a modulus from 1e-9 to 30 (log-uniform) at any phase."""
+    return st.one_of(
+        st.just(0j),
+        st.builds(lambda e, a: 10.0 ** e * cmath.exp(1j * a),
+                  st.floats(-9.0, math.log10(30.0)),
+                  st.floats(0.0, 2.0 * math.pi)))
+
+
+def _params():
+    return st.builds(ModelParams.from_reduced, st.sampled_from([-1.0, 1.0]),
+                     st.floats(-4.0, 4.0), st.floats(-1.0, 1.0),
+                     st.integers(2, 500))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_complex_w(), _complex_w(), _params())
+def test_closed_form_flow_matches_metric_solve(w1, w2, params):
+    """1e-12 relative, with a roundoff floor of 1e-14 of the size the
+    gradient and velocity have without cancellation (near a fixed point
+    both vanish)."""
+    pt = ClassicalPoint(w1, w2)
+    n, d = params.n_particles, abs(w1) ** 2 + abs(w2) ** 2 + 1.0
+    energy_scale = n * (abs(params.omega_eff)
+                        + (n - 1) * (abs(params.kappa) + 2 * abs(params.lam)))
+    grad_scale = energy_scale / math.sqrt(d)
+    grad = oracles.w_gradient(w1, w2, params)
+    assert np.linalg.norm(w_gradient(pt.w_vector(), params) - grad) <= (
+        1e-12 * np.linalg.norm(grad) + 1e-14 * grad_scale)
+    ref = oracles.w_velocity(w1, w2, params)
+    assert np.linalg.norm(w_velocity(pt, params) - ref) <= (
+        1e-12 * np.linalg.norm(ref) + 1e-14 * grad_scale * d ** 2 / n)
+
+
+def test_energy_samples_on_arrays_match_scalar_calls():
+    rng = np.random.default_rng(5)
+    w1 = rng.normal(size=40) + 1j * rng.normal(size=40)
+    w2 = 3.0 * (rng.normal(size=40) + 1j * rng.normal(size=40))
+    w1[0] = w2[0] = 0.0
+    values = classical_hamiltonian(ClassicalPoint(w1, w2), PARAMS)
+    assert isinstance(values, np.ndarray) and values.shape == (40,)
+    scalar = [classical_hamiltonian(ClassicalPoint(complex(a), complex(b)),
+                                    PARAMS) for a, b in zip(w1, w2)]
+    assert np.allclose(values, scalar, rtol=1e-15, atol=0.0)
+    h1, h2, h3, d = oracles.w_moments(w1[1], w2[1])
+    n = PARAMS.n_particles
+    loop = (PARAMS.omega_eff * n * h1 / d + n * (n - 1) * (
+        PARAMS.kappa * h2 - 2.0 * PARAMS.lam * h3.real) / d ** 2)
+    assert scalar[1] == pytest.approx(loop, rel=1e-13)
+
+
+def test_linearization_matches_symbolic_hessian():
+    rng = np.random.default_rng(11)
+    for chi, mu, n in ((2.2, 0.15, 30), (0.7, -0.4, 7), (3.5, 0.6, 200)):
+        params = ModelParams.from_reduced(-1.0, chi, mu, n)
+        for _ in range(25):
+            frac = rng.dirichlet(np.ones(3))
+            x = (n * frac[0], n * frac[1], *rng.uniform(-np.pi, np.pi, 2))
+            got = linearization(ClassicalPoint.from_canonical(*x, n), params)
+            ref = oracles.canonical_flow_matrix(*x, params)
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_trajectories_and_fixed_points_run_without_sympy():
+    code = (
+        "import sys\n"
+        "from triwell.algebra import ModelParams\n"
+        "from triwell.semiclassical import (ClassicalPoint, "
+        "find_fixed_points, integrate_trajectory)\n"
+        "p = ModelParams.from_reduced(-1.0, 3.0, 0.0, 30)\n"
+        "integrate_trajectory(ClassicalPoint.from_twin_w(0.3), p, 2.0, 0.5)\n"
+        "assert len(find_fixed_points(p, replicate=True)) == 12\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-c", code],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_canonical_gradient_finite_difference():
@@ -200,6 +290,7 @@ def test_trajectory_conserves_energy_and_twin_symmetry():
     start = ClassicalPoint.from_twin_w(0.4)
     traj = integrate_trajectory(start, params, 30.0, 0.05)
     assert traj.relative_energy_drift < 1e-8
+    assert traj.rtol in (1e-10, 1e-12)
     assert np.max(np.abs(traj.w1 - traj.w2)) < 1e-7
 
 
