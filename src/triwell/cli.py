@@ -48,10 +48,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+def _format_column(col):
+    """The cells of one column as a sequence of UTF-8 bytes.
+
+    A float array is formatted once per distinct bit pattern, so repeated
+    grid values cost one ``repr`` and -0.0 stays apart from 0.0.
+    """
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        col = np.asarray(col, dtype=np.float64)
+        bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
+        text = [repr(v).encode() for v in bits.view(np.float64).tolist()]
+        return np.array(text, dtype=object)[inverse]
+    return [_fmt(v).encode() for v in col]
+
+
+def write_csv(path: Path, header, columns):
+    """Write equal-length columns under a header row.
+
+    The rows are joined as bytes: joining them as str and encoding the
+    result made two more copies of the file, and on the 65,536-row phase
+    field those copies left the peak memory of a run to chance.
+    """
+    cells = [_format_column(col) for col in columns]
+    lines = [",".join(header).encode()]
+    lines += map(b",".join, zip(*cells, strict=True))
+    lines.append(b"")                       # the final newline
+    path.write_bytes(b"\n".join(lines))
 
 
 def write_metadata(path: Path, payload: dict):
@@ -115,9 +137,9 @@ def cmd_spectrum(args) -> int:
     t0 = time.perf_counter()
     result = spectrum(params, args.k)
     out = _outdir(args)
-    rows = [(i, float(result.eigenvalues[i]), float(result.residuals[i]))
-            for i in range(args.k)]
-    write_csv(out / "spectrum.csv", ["index", "energy", "residual"], rows)
+    write_csv(out / "spectrum.csv", ["index", "energy", "residual"],
+              [range(args.k), result.eigenvalues[:args.k],
+               result.residuals[:args.k]])
     write_metadata(out / "spectrum.meta.json", {
         "command": "spectrum",
         "params": _params_dict(params),
@@ -139,8 +161,8 @@ def cmd_purity_scan(args) -> int:
     for n in args.n:
         scan = purity_scan(args.omega, args.mu or 0.0, n, grid,
                            workers=args.workers)
-        rows = list(zip(scan.chi_grid, scan.purity, scan.derivative))
-        write_csv(out / f"purity_N{n}.csv", ["chi", "purity", "dP_dchi"], rows)
+        write_csv(out / f"purity_N{n}.csv", ["chi", "purity", "dP_dchi"],
+                  [scan.chi_grid, scan.purity, scan.derivative])
         write_metadata(out / f"purity_N{n}.meta.json", {
             "command": "purity-scan",
             "params": {"omega": args.omega, "mu": args.mu or 0.0,
@@ -170,8 +192,7 @@ def cmd_scaling(args) -> int:
     chi_cq = [results[n] for n in ns]
     fit = power_law_fit(ns, chi_cq, args.chi_c) if len(ns) >= 3 else None
     out = _outdir(args)
-    write_csv(out / "scaling.csv", ["n", "chi_cq"],
-              list(zip(ns, chi_cq)))
+    write_csv(out / "scaling.csv", ["n", "chi_cq"], [ns, chi_cq])
     payload = {
         "command": "scaling",
         "params": {"omega": args.omega, "mu": mu, "chi_c": args.chi_c},
@@ -207,13 +228,14 @@ def cmd_fields(args) -> int:
     phi_grid = 2.0 * np.pi * np.arange(args.phase_grid) / args.phase_grid
     phases = phase_distribution(state, phi_grid, phi_grid)
     out = _outdir(args)
-    rows = [(i_grid[a], i_grid[b], husimi.values[a, b])
-            for a in range(args.pop_grid) for b in range(args.pop_grid)
-            if husimi.mask[a, b]]
-    write_csv(out / "husimi.csv", ["i1", "i2", "q"], rows)
-    rows = [(phi_grid[a], phi_grid[b], phases.values[a, b])
-            for a in range(args.phase_grid) for b in range(args.phase_grid)]
-    write_csv(out / "phase.csv", ["phi1", "phi2", "density"], rows)
+    valid = husimi.mask.ravel()
+    write_csv(out / "husimi.csv", ["i1", "i2", "q"],
+              [np.repeat(i_grid, args.pop_grid)[valid],
+               np.tile(i_grid, args.pop_grid)[valid],
+               husimi.values.ravel()[valid]])
+    write_csv(out / "phase.csv", ["phi1", "phi2", "density"],
+              [np.repeat(phi_grid, args.phase_grid),
+               np.tile(phi_grid, args.phase_grid), phases.values.ravel()])
     write_metadata(out / "fields.meta.json", {
         "command": "fields",
         "params": _params_dict(params),
@@ -234,16 +256,18 @@ def cmd_fixed_points(args) -> int:
     t0 = time.perf_counter()
     records = find_fixed_points(params, replicate=args.replicate)
     out = _outdir(args)
-    rows = []
-    for rec in records:
-        rows.append((rec.label, rec.sector, rec.point.w1.real,
-                     rec.point.w1.imag, rec.point.w2.real, rec.point.w2.imag,
-                     rec.point.theta, rec.point.i_z, rec.energy_per_particle,
-                     rec.stability, rec.gradient_norm))
+    pts = [rec.point for rec in records]
     write_csv(out / "fixed_points.csv",
               ["label", "sector", "w1_re", "w1_im", "w2_re", "w2_im",
                "theta", "i_z", "energy_per_particle", "stability",
-               "gradient_norm"], rows)
+               "gradient_norm"],
+              [[rec.label for rec in records], [rec.sector for rec in records],
+               [p.w1.real for p in pts], [p.w1.imag for p in pts],
+               [p.w2.real for p in pts], [p.w2.imag for p in pts],
+               [p.theta for p in pts], [p.i_z for p in pts],
+               [rec.energy_per_particle for rec in records],
+               [rec.stability for rec in records],
+               [rec.gradient_norm for rec in records]])
     meta = {
         "command": "fixed-points",
         "params": _params_dict(params),
@@ -251,21 +275,20 @@ def cmd_fixed_points(args) -> int:
     }
     if args.chi_scan is not None:
         lo, hi, steps = args.chi_scan
-        scan_rows = []
-        for chi in np.linspace(lo, hi, int(steps)):
-            kappa = chi * args.omega / (n - 1)
-            branch = {"1+": np.nan, "2+": np.nan, "3+": np.nan, "4+": np.nan}
+        chis = np.linspace(lo, hi, int(steps))
+        branch = {label: np.full(chis.size, np.nan)
+                  for label in ("1+", "2+", "3+", "4+")}
+        for k, chi in enumerate(chis):
             scan_params = ModelParams.from_reduced(args.omega, chi,
                                                    args.mu or 0.0, n)
             for rec in find_fixed_points(scan_params):
                 if rec.label in branch:
-                    branch[rec.label] = rec.energy_per_particle
-            gap = branch["1+"] - branch["4+"]
-            scan_rows.append((chi, kappa, branch["1+"], branch["2+"],
-                              branch["3+"], branch["4+"], gap))
+                    branch[rec.label][k] = rec.energy_per_particle
         write_csv(out / "branch_energies.csv",
                   ["chi", "kappa", "h_1p", "h_2p", "h_3p", "h_4p",
-                   "gap_1p_4p"], scan_rows)
+                   "gap_1p_4p"],
+                  [chis, chis * args.omega / (n - 1), *branch.values(),
+                   branch["1+"] - branch["4+"]])
         meta["chi_scan"] = {"min": lo, "max": hi, "steps": int(steps)}
     write_metadata(out / "fixed_points.meta.json", meta)
     return 0
@@ -283,12 +306,11 @@ def cmd_trajectory(args) -> int:
     for idx, (theta, phi) in enumerate(inits):
         start = ClassicalPoint.from_twin_angles(theta, phi)
         traj = integrate_trajectory(start, params, args.t_max, args.dt)
-        i1, i2, phi1, phi2 = traj.canonical_arrays()
-        rows = list(zip(traj.times, i1, i2, phi1, phi2, traj.i_z(),
-                        traj.energies))
         name = f"trajectory_{idx:03d}.csv"
         write_csv(out / name,
-                  ["t", "i1", "i2", "phi1", "phi2", "i_z", "energy"], rows)
+                  ["t", "i1", "i2", "phi1", "phi2", "i_z", "energy"],
+                  [traj.times, *traj.canonical_arrays(), traj.i_z(),
+                   traj.energies])
         runs.append({"file": name, "rtol": traj.rtol,
                      "relative_energy_drift": traj.relative_energy_drift})
     write_metadata(out / "trajectory.meta.json", {
@@ -314,13 +336,15 @@ def cmd_theta_min(args) -> int:
     rows = theta_min_analysis(grid, mu=mu, omega=args.omega)
     out = _outdir(args)
     n_ref = args.n[0] if args.n else 30
-    table = [(r.chi, r.chi * args.omega / (n_ref - 1), r.theta_min, r.h_min,
-              r.dh_dchi, r.d2h_dchi2, r.h1_at_min, r.first_order_residual,
-              r.degenerate) for r in rows]
     write_csv(out / "theta_min.csv",
               ["chi", "kappa", "theta_min", "h_min_per_particle", "dh_dchi",
                "d2h_dchi2", "h1_at_min", "first_order_residual",
-               "degenerate"], table)
+               "degenerate"],
+              [grid, grid * args.omega / (n_ref - 1),
+               *([getattr(r, f) for r in rows]
+                 for f in ("theta_min", "h_min", "dh_dchi", "d2h_dchi2",
+                           "h1_at_min", "first_order_residual",
+                           "degenerate"))])
     write_metadata(out / "theta_min.meta.json", {
         "command": "theta-min",
         "params": {"omega": args.omega, "mu": mu, "n_reference": n_ref},

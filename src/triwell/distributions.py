@@ -30,6 +30,10 @@ class ScalarField2D:
         return float(np.max(self.values[self.mask])) if np.any(self.mask) else 0.0
 
 
+# Elements of the (points x dim) log matrix evaluated at once.
+_BLOCK = 1 << 16
+
+
 def husimi_population(state: QuantumState, i1_grid, i2_grid,
                       metadata: dict | None = None) -> ScalarField2D:
     """Quasi-probability of mean occupations Q_I(I1, I2).
@@ -37,40 +41,56 @@ def husimi_population(state: QuantumState, i1_grid, i2_grid,
     Closed form: the phase average leaves |C|^2 sum_n multinomial *
     r1^{2 n1} r2^{2 n2} |c_n|^2 with r_j^2 = I_j / (N - I1 - I2); the
     simplex boundary I1 + I2 = N is the analytic n3 = 0 shell limit.
+    Grid points outside the simplex are masked out and read 0.
     """
-    basis = state.basis
-    n = basis.total_particles
-    occ = basis.states
+    n = state.basis.total_particles
     i1 = np.asarray(i1_grid, dtype=float)
     i2 = np.asarray(i2_grid, dtype=float)
+    x1, x2 = np.meshgrid(i1, i2, indexing="ij")
+    mask = ~((x1 < 0) | (x2 < 0) | (x1 + x2 > n * (1.0 + 1e-12)))
+    values = np.zeros(mask.shape)
+    if n == 0:
+        values[mask] = float(np.abs(state.amplitudes[0]) ** 2)
+    else:
+        values[mask] = _husimi_points(state, x1[mask], x2[mask])
+    values = np.clip(values, 0.0, None)
+    return ScalarField2D("I1", i1, "I2", i2, values, mask, metadata or {})
+
+
+def _husimi_points(state: QuantumState, x1, x2) -> np.ndarray:
+    """Q_I at the points (x1[k], x2[k]) of the simplex, N >= 1."""
+    n = state.basis.total_particles
+    occ = state.basis.states
     base = log_multinomial(n, occ) + 2.0 * _safe_log(np.abs(state.amplitudes))
     n1 = occ[:, 0].astype(float)
     n2 = occ[:, 1].astype(float)
+    i3 = n - x1 - x2
+    shell = i3 <= 1e-12 * n
+    inner = ~shell
+    q = np.empty(x1.size)
+    q[inner] = _sum_exp(base, n1, n2, x1[inner] / i3[inner],
+                        x2[inner] / i3[inner], n * np.log(n / i3[inner]))
+    # boundary shell: only n3 = 0 states contribute
+    total = x1[shell] + x2[shell]
     on_shell = occ[:, 2] == 0
+    q[shell] = _sum_exp(base[on_shell], n1[on_shell], n2[on_shell],
+                        x1[shell] / total, x2[shell] / total,
+                        np.zeros(total.size))
+    return q
 
-    values = np.zeros((i1.size, i2.size))
-    mask = np.zeros((i1.size, i2.size), dtype=bool)
-    for a, x1 in enumerate(i1):
-        for b, x2 in enumerate(i2):
-            if x1 < 0 or x2 < 0 or x1 + x2 > n * (1.0 + 1e-12):
-                continue
-            mask[a, b] = True
-            if n == 0:
-                values[a, b] = float(np.abs(state.amplitudes[0]) ** 2)
-                continue
-            i3 = n - x1 - x2
-            if i3 <= 1e-12 * n:
-                # boundary shell: only n3 = 0 states contribute
-                total = x1 + x2
-                logs = (base[on_shell]
-                        + _occ_term(n1[on_shell], x1 / total)
-                        + _occ_term(n2[on_shell], x2 / total))
-            else:
-                logs = (base + _occ_term(n1, x1 / i3) + _occ_term(n2, x2 / i3)
-                        - n * np.log(n / i3))
-            values[a, b] = float(np.sum(np.exp(logs)))
-    values = np.clip(values, 0.0, None)
-    return ScalarField2D("I1", i1, "I2", i2, values, mask, metadata or {})
+
+def _sum_exp(base, n1, n2, r1, r2, shift):
+    """sum_n exp(base_n + n1 ln r1 + n2 ln r2 - shift) for each point,
+    over blocks of points so the log matrix stays near _BLOCK elements."""
+    out = np.empty(r1.size)
+    step = max(1, _BLOCK // base.size)
+    for lo in range(0, r1.size, step):
+        hi = lo + step
+        logs = base + _occ_term(n1, r1[lo:hi, None])
+        logs += _occ_term(n2, r2[lo:hi, None])
+        logs -= shift[lo:hi, None]
+        out[lo:hi] = np.sum(np.exp(logs, out=logs), axis=1)
+    return out
 
 
 def _occ_term(n_arr, ratio):
@@ -85,31 +105,6 @@ def _safe_log(x):
         return np.where(x > 0.0, np.log(np.where(x > 0.0, x, 1.0)), -np.inf)
 
 
-def husimi_quadrature_oracle(state: QuantumState, i1: float, i2: float,
-                             phase_points: int = 64) -> float:
-    """Brute-force phase average of |<N; w|psi>|^2 (test oracle).
-
-    The rectangle rule on a uniform periodic grid is exact once the number
-    of points exceeds the trigonometric degree 2N of the integrand.
-    """
-    from .coherent import CoherentPoint, coherent_state
-
-    basis = state.basis
-    n = basis.total_particles
-    i3 = n - i1 - i2
-    if i3 <= 0:
-        raise ValueError("quadrature oracle requires I1 + I2 < N")
-    phis = 2.0 * np.pi * np.arange(phase_points) / phase_points
-    total = 0.0
-    for p1 in phis:
-        for p2 in phis:
-            point = CoherentPoint.from_canonical(i1, i2, p1, p2, n)
-            overlap = np.vdot(coherent_state(basis, point).amplitudes,
-                              state.amplitudes)
-            total += abs(overlap) ** 2
-    return total / phase_points ** 2
-
-
 def phase_distribution(state: QuantumState, phi1_grid, phi2_grid,
                        metadata: dict | None = None) -> ScalarField2D:
     """Collective-phase distribution |sum_n e^{i(n1 phi1 + n2 phi2)} c_n|^2."""
@@ -117,9 +112,9 @@ def phase_distribution(state: QuantumState, phi1_grid, phi2_grid,
     n = basis.total_particles
     phi1 = np.asarray(phi1_grid, dtype=float)
     phi2 = np.asarray(phi2_grid, dtype=float)
+    occ = basis.states
     coeff = np.zeros((n + 1, n + 1), dtype=complex)
-    for idx, (n1, n2, _n3) in enumerate(basis.states):
-        coeff[n1, n2] = state.amplitudes[idx]
+    coeff[occ[:, 0], occ[:, 1]] = state.amplitudes
     modes = np.arange(n + 1)
     e1 = np.exp(1j * np.outer(phi1, modes))          # (P1, n+1)
     e2 = np.exp(1j * np.outer(modes, phi2))          # (n+1, P2)

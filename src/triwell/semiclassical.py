@@ -31,7 +31,6 @@ from .coherent import CoherentPoint
 _STABLE = "stable-center"
 _UNSTABLE = "unstable"
 
-_GRAD_TOL = 1e-10
 _STABILITY_REL = 1e-8
 
 
@@ -65,10 +64,6 @@ class ClassicalPoint:
     def from_canonical(cls, i1, i2, phi1, phi2, n_particles) -> "ClassicalPoint":
         p = CoherentPoint.from_canonical(i1, i2, phi1, phi2, n_particles)
         return cls(p.w1, p.w2)
-
-    @property
-    def is_twin(self) -> bool:
-        return abs(self.w1 - self.w2) <= 1e-12 * max(1.0, abs(self.w1))
 
     @property
     def tau(self) -> complex:

@@ -86,3 +86,80 @@ def canonical_flow_matrix(i1, i2, phi1, phi2, params):
     s[0, 2] = s[1, 3] = -1.0
     s[2, 0] = s[3, 1] = 1.0
     return s @ hess
+
+
+def _safe_log(x):
+    """ln x, with -inf at x <= 0."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(x > 0.0, np.log(np.where(x > 0.0, x, 1.0)), -np.inf)
+
+
+def _occ_term(n_arr, ratio):
+    """n * ln(ratio) with the n = 0, ratio = 0 corner fixed to 0."""
+    with np.errstate(invalid="ignore"):
+        return np.where(n_arr > 0, n_arr * _safe_log(ratio), 0.0)
+
+
+def husimi_population_loop(state, i1_grid, i2_grid):
+    """Q_I(I1, I2) point by point: the values and mask that
+    ``distributions.husimi_population`` evaluates block-wise."""
+    from triwell.coherent import log_multinomial
+
+    basis = state.basis
+    n = basis.total_particles
+    occ = basis.states
+    i1 = np.asarray(i1_grid, dtype=float)
+    i2 = np.asarray(i2_grid, dtype=float)
+    base = log_multinomial(n, occ) + 2.0 * _safe_log(np.abs(state.amplitudes))
+    n1 = occ[:, 0].astype(float)
+    n2 = occ[:, 1].astype(float)
+    on_shell = occ[:, 2] == 0
+
+    values = np.zeros((i1.size, i2.size))
+    mask = np.zeros((i1.size, i2.size), dtype=bool)
+    for a, x1 in enumerate(i1):
+        for b, x2 in enumerate(i2):
+            if x1 < 0 or x2 < 0 or x1 + x2 > n * (1.0 + 1e-12):
+                continue
+            mask[a, b] = True
+            if n == 0:
+                values[a, b] = float(np.abs(state.amplitudes[0]) ** 2)
+                continue
+            i3 = n - x1 - x2
+            if i3 <= 1e-12 * n:
+                # boundary shell: only n3 = 0 states contribute
+                total = x1 + x2
+                logs = (base[on_shell]
+                        + _occ_term(n1[on_shell], x1 / total)
+                        + _occ_term(n2[on_shell], x2 / total))
+            else:
+                logs = (base + _occ_term(n1, x1 / i3) + _occ_term(n2, x2 / i3)
+                        - n * np.log(n / i3))
+            values[a, b] = float(np.sum(np.exp(logs)))
+    return np.clip(values, 0.0, None), mask
+
+
+def husimi_quadrature_oracle(state, i1: float, i2: float,
+                             phase_points: int = 64) -> float:
+    """Brute-force phase average of |<N; w|psi>|^2.
+
+    The rectangle rule on a uniform periodic grid is exact once the number
+    of points exceeds the trigonometric degree 2N of the integrand.
+    """
+    from triwell.coherent import CoherentPoint, coherent_state
+
+    basis = state.basis
+    n = basis.total_particles
+    i3 = n - i1 - i2
+    if i3 <= 0:
+        raise ValueError("quadrature oracle requires I1 + I2 < N")
+    phis = 2.0 * np.pi * np.arange(phase_points) / phase_points
+    total = 0.0
+    for p1 in phis:
+        for p2 in phis:
+            point = CoherentPoint.from_canonical(i1, i2, p1, p2, n)
+            overlap = np.vdot(coherent_state(basis, point).amplitudes,
+                              state.amplitudes)
+            total += abs(overlap) ** 2
+    return total / phase_points ** 2

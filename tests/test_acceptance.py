@@ -10,10 +10,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+from oracles import husimi_quadrature_oracle
 from triwell.algebra import ModelParams, model_context
 from triwell.coherent import CoherentPoint, coherent_state
 from triwell.distributions import (count_local_maxima, husimi_population,
-                                   husimi_quadrature_oracle,
                                    phase_distribution,
                                    phase_marginal_variance)
 from triwell.purity import critical_chi_q, generalized_purity, power_law_fit

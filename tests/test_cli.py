@@ -1,12 +1,48 @@
 import json
 
+import numpy as np
 import pytest
 
-from triwell.cli import main
+from triwell.cli import _fmt, main, write_csv
 
 
 def read(path):
     return path.read_text()
+
+
+def test_write_csv_bytes(tmp_path):
+    """Columns are written exactly as the row-by-row ``_fmt`` form."""
+    floats = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 0.1, 0.1])
+    # np.unique would merge the two zeros; the writer must keep both signs
+    assert np.unique(floats[:2]).size == 1
+    header = ["i", "b", "s", "np", "f", "l"]
+    columns = [
+        [0, 1, 2, 3, 4, 5, -6],
+        [True, False, True, False, True, False, True],
+        ["1+", "stable-center", "", "a b", "x", "-0.0", "nan"],
+        [np.int64(7), np.float64(-0.0), np.float32(0.5), np.bool_(True),
+         np.float64(np.nan), np.int32(-2), np.float64(1e-310)],
+        floats,
+        [0.25, -0.0, 1e16, 1.0 / 3.0, 0.1, 0.1, -1.5],
+    ]
+    path = tmp_path / "t.csv"
+    write_csv(path, header, columns)
+    assert read(path) == (
+        "i,b,s,np,f,l\n"
+        "0,1,1+,7,-0.0,0.25\n"
+        "1,0,stable-center,-0.0,0.0,-0.0\n"
+        "2,1,,0.5,nan,1e+16\n"
+        "3,0,a b,1,inf,0.3333333333333333\n"
+        "4,1,x,nan,-inf,0.1\n"
+        "5,0,-0.0,-2,0.1,0.1\n"
+        "-6,1,nan,1e-310,0.1,-1.5\n")
+    rows = [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+    assert read(path) == "\n".join([",".join(header)] + rows) + "\n"
+
+    write_csv(path, ["a", "b"], [np.zeros(0), []])
+    assert read(path) == "a,b\n"
+    with pytest.raises(ValueError):
+        write_csv(path, ["a", "b"], [np.zeros(2), [1]])
 
 
 def test_spectrum_outputs_and_metadata(tmp_path):

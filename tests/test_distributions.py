@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import husimi_population_loop, husimi_quadrature_oracle
 from triwell.algebra import ModelParams, model_context
 from triwell.coherent import CoherentPoint, QuantumState, coherent_state
 from triwell.distributions import (ScalarField2D, count_local_maxima,
-                                   husimi_population,
-                                   husimi_quadrature_oracle,
-                                   phase_distribution,
+                                   husimi_population, phase_distribution,
                                    phase_marginal_variance)
 from triwell.spectral import ground_state
 
@@ -26,13 +25,16 @@ def test_husimi_matches_phase_quadrature():
         assert closed == pytest.approx(oracle, abs=1e-10)
 
 
+def _random_state(n, seed):
+    basis = model_context(n).basis
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=basis.dimension) \
+        + 1j * rng.normal(size=basis.dimension)
+    return QuantumState(basis, v / np.linalg.norm(v))
+
+
 def test_husimi_oracle_on_random_state():
-    ctx = model_context(6)
-    rng = np.random.default_rng(4)
-    v = rng.normal(size=ctx.basis.dimension) \
-        + 1j * rng.normal(size=ctx.basis.dimension)
-    v /= np.linalg.norm(v)
-    state = QuantumState(ctx.basis, v)
+    state = _random_state(6, seed=4)
     for i1, i2 in [(1.0, 2.0), (2.5, 0.7)]:
         closed = husimi_population(state, np.array([i1]),
                                    np.array([i2])).values[0, 0]
@@ -76,6 +78,26 @@ def test_husimi_trifurcation_deep_phase():
     grid = np.linspace(0.0, 30.0, 101)
     field = husimi_population(state, grid, grid)
     assert count_local_maxima(field, 0.2) == 3
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 30])
+def test_husimi_blocks_equal_point_loop(n):
+    """The block kernel reproduces the point-by-point loop bit for bit."""
+    state = _random_state(n, seed=n)
+    full = np.linspace(0.0, n, 21)
+    # points off the simplex on every side, and on the I1 + I2 = N shell
+    # (exactly, and within the 1e-12 slack)
+    ragged = np.array([-0.5, 0.0, 0.3 * n, n - 0.25, n, n * (1.0 + 5e-13),
+                       n + 1.0])
+    shell = n - full            # (full[k], shell[k]) lies on I1 + I2 = N
+    for i1, i2 in [(full, full), (ragged, ragged), (ragged, full[::-1]),
+                   (full, shell)]:
+        field = husimi_population(state, i1, i2)
+        values, mask = husimi_population_loop(state, i1, i2)
+        assert np.array_equal(field.mask, mask)
+        assert np.array_equal(field.values, values)
+    if n:
+        assert np.all(field.values.diagonal() > 0.0)     # the shell points
 
 
 def test_husimi_symmetry_under_mode_swap():
