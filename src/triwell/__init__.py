@@ -5,11 +5,11 @@ mean-field limit."""
 
 __version__ = "0.1.0"
 
-from .algebra import (ModelConsistencyError, ModelParams, generators,
-                      hamiltonian_direct, hamiltonian_generators,
-                      model_context, verify_equivalence)
+from .algebra import ModelParams, generators, model_context
 from .coherent import CoherentPoint, QuantumState, coherent_state
-from .fock import FockBasis, SparseHermitianOperator, build_basis
+from .errors import (BracketingError, IntegrationError, NumericalError,
+                     SolverError)
+from .fock import FockBasis, build_basis
 from .purity import (critical_chi_q, generalized_purity, ground_state_purity,
                      power_law_fit, purity_scan)
 from .semiclassical import (ClassicalPoint, bifurcation_scan,
@@ -23,10 +23,9 @@ from .distributions import (ScalarField2D, count_local_maxima,
                             phase_marginal_variance)
 
 __all__ = [
-    "ModelConsistencyError", "ModelParams", "generators",
-    "hamiltonian_direct", "hamiltonian_generators", "model_context",
-    "verify_equivalence", "CoherentPoint", "QuantumState", "coherent_state",
-    "FockBasis", "SparseHermitianOperator", "build_basis",
+    "ModelParams", "generators", "model_context", "CoherentPoint",
+    "QuantumState", "coherent_state", "BracketingError", "IntegrationError",
+    "NumericalError", "SolverError", "FockBasis", "build_basis",
     "critical_chi_q", "generalized_purity", "ground_state_purity",
     "power_law_fit", "purity_scan", "ClassicalPoint", "bifurcation_scan",
     "classical_hamiltonian", "find_fixed_points", "integrate_trajectory",

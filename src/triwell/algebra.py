@@ -1,9 +1,9 @@
 """Model parameters, su(3) generators and the three-mode Hamiltonian.
 
-The Hamiltonian is built in two equivalent forms: directly from the bosonic
-bilinears, and rewritten through the eight su(3) generators.  The two differ
-by an N-dependent multiple of the identity (the generator rewrite drops the
-scalar kappa*(N^2/3 - N) term); ``verify_equivalence`` measures that shift.
+The Hamiltonian is built from the bosonic bilinears.  Its rewriting
+through the eight su(3) generators differs from it by the multiple
+kappa*(N^2/3 - N) of the identity; the tests check that shift
+(``verify_equivalence`` in ``tests/oracles.py``).
 
 Note on the generator definitions: the hopping combinations are taken in
 their Hermitian form, P_k = a_k^dag a_j + a_j^dag a_k and
@@ -21,12 +21,8 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import (FockBasis, SparseHermitianOperator, build_basis,
-                   hop_operator, symmetry_sectors)
-
-
-class ModelConsistencyError(RuntimeError):
-    """The two Hamiltonian forms do not agree up to an identity shift."""
+from .fock import (FockBasis, build_basis, check_hermitian, hop_operator,
+                   symmetry_sectors)
 
 
 @dataclass(frozen=True)
@@ -81,31 +77,14 @@ class ModelParams:
         return cls(omega, chi * scale, mu * scale, n_particles)
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """The eight su(3) generators on a fixed N-particle sector."""
-
-    q1: SparseHermitianOperator
-    q2: SparseHermitianOperator
-    p1: SparseHermitianOperator
-    p2: SparseHermitianOperator
-    p3: SparseHermitianOperator
-    j1: SparseHermitianOperator
-    j2: SparseHermitianOperator
-    j3: SparseHermitianOperator
-
-    def as_list(self):
-        return [self.q1, self.q2, self.p1, self.p2, self.p3,
-                self.j1, self.j2, self.j3]
-
-
 def partner_mode(k: int) -> int:
     """Mode pairing j(k) = ((k+1) mod 3) + 1: (1,3), (2,1), (3,2)."""
     return ((k + 1) % 3) + 1
 
 
-def generators(basis: FockBasis) -> GeneratorSet:
-    """Build Q1, Q2, P1..P3, J1..J3 as sparse Hermitian matrices.
+def generators(basis: FockBasis) -> tuple:
+    """The eight su(3) generators as Hermitian CSR matrices, in the order
+    Q1, Q2, P1, P2, P3, J1, J2, J3.
 
     Q and P are real; only the J are complex (imaginary antisymmetric).
     """
@@ -119,16 +98,7 @@ def generators(basis: FockBasis) -> GeneratorSet:
         dn = hop_operator(basis, j, k)
         ps.append(up + dn)
         js.append(1j * (up - dn))
-    return GeneratorSet(
-        q1=SparseHermitianOperator(q1),
-        q2=SparseHermitianOperator(q2),
-        p1=SparseHermitianOperator(ps[0]),
-        p2=SparseHermitianOperator(ps[1]),
-        p3=SparseHermitianOperator(ps[2]),
-        j1=SparseHermitianOperator(js[0]),
-        j2=SparseHermitianOperator(js[1]),
-        j3=SparseHermitianOperator(js[2]),
-    )
+    return tuple(check_hermitian(g) for g in (q1, q2, *ps, *js))
 
 
 def hamiltonian_terms(basis: FockBasis):
@@ -155,49 +125,6 @@ def hamiltonian_terms(basis: FockBasis):
                 if len({i, j, k}) == 3:
                     V = V + n_op[i] @ hop[(j, k)]
     return T.tocsr(), K, V.tocsr()
-
-
-def hamiltonian_direct(basis: FockBasis,
-                       params: ModelParams) -> SparseHermitianOperator:
-    """The Hamiltonian from bosonic bilinears (canonical form)."""
-    T, K, V = hamiltonian_terms(basis)
-    m = params.omega_eff * T + params.kappa * K - 2.0 * params.lam * V
-    return SparseHermitianOperator(m)
-
-
-def hamiltonian_generators(basis: FockBasis,
-                           params: ModelParams) -> SparseHermitianOperator:
-    """The Hamiltonian rewritten through the su(3) generators."""
-    g = generators(basis)
-    q1, q2 = g.q1.matrix, g.q2.matrix
-    p1, p2, p3 = g.p1.matrix, g.p2.matrix, g.p3.matrix
-    n = params.n_particles
-    lin = (params.omega_eff - 2.0 * params.lam * n / 3.0) * (p1 + p2 + p3)
-    quad = 0.5 * params.kappa * (4.0 * (q1 @ q1) + 3.0 * (q2 @ q2))
-    cross = params.lam * (2.0 * q1 @ (p1 - p3) + q2 @ (2.0 * p2 - p1 - p3))
-    return SparseHermitianOperator(lin + quad + cross)
-
-
-def verify_equivalence(basis: FockBasis, params: ModelParams,
-                       tol: float = 1e-10) -> float:
-    """Return c with H_direct - H_generators = c * Identity.
-
-    Raises ModelConsistencyError if the difference is not proportional to
-    the identity within tol relative to the matrix norm (a generator
-    definition bug).  Analytically c = kappa * (N^2/3 - N).
-    """
-    hd = hamiltonian_direct(basis, params).matrix
-    hg = hamiltonian_generators(basis, params).matrix
-    diff = (hd - hg).toarray()
-    c = float(np.real(np.trace(diff))) / basis.dimension
-    residual = diff - c * np.eye(basis.dimension)
-    scale = max(1.0, float(np.max(np.abs(hd.toarray()))))
-    worst = float(np.max(np.abs(residual)))
-    if worst > tol * scale:
-        raise ModelConsistencyError(
-            f"difference is not a scalar shift (residual {worst:.3e}, "
-            f"scale {scale:.3e})")
-    return c
 
 
 @dataclass(frozen=True)
@@ -231,13 +158,12 @@ class HamiltonianTerms:
     def dimension(self) -> int:
         return self.indptr.size - 1
 
-    def hamiltonian(self, params: ModelParams) -> SparseHermitianOperator:
+    def hamiltonian(self, params: ModelParams) -> sp.csr_matrix:
         t, k, v = self.values
         data = params.omega_eff * t + params.kappa * k - 2.0 * params.lam * v
         dim = self.dimension
-        return SparseHermitianOperator(
-            sp.csr_matrix((data, self.indices, self.indptr), shape=(dim, dim)),
-            check=False)
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=(dim, dim))
 
 
 @dataclass(frozen=True)
@@ -266,10 +192,10 @@ class ModelContext:
 
     basis: FockBasis
     terms: HamiltonianTerms
-    gens: GeneratorSet
+    gens: tuple                     # generators(basis)
     sectors: tuple                  # Sector, in the order A1, A2, E
 
-    def hamiltonian(self, params: ModelParams) -> SparseHermitianOperator:
+    def hamiltonian(self, params: ModelParams) -> sp.csr_matrix:
         if params.n_particles != self.basis.total_particles:
             raise ValueError("parameter N does not match cached context")
         return self.terms.hamiltonian(params)

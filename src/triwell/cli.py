@@ -5,7 +5,10 @@ formatting, paired with a JSON metadata sidecar carrying the fully resolved
 parameter set.  Reruns with identical configuration produce byte-identical
 CSV; wall times live only in the sidecars.
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure.
+Exit codes: 0 success, 2 usage error (a malformed or out-of-range value:
+``UsageError`` or ``ValueError``), 3 numerical failure
+(``errors.NumericalError`` or a LAPACK ``LinAlgError``).  Any other
+exception propagates.
 """
 
 from __future__ import annotations
@@ -20,18 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algebra import ModelConsistencyError, ModelParams
-from .purity import (BracketingError as PurityBracketingError, critical_chi_q,
-                     map_tasks, power_law_fit, purity_scan)
-from .semiclassical import (BracketingError as ClassicalBracketingError,
-                            ClassicalPoint, IntegrationError, find_fixed_points,
-                            integrate_trajectory, theta_min_analysis,
-                            twin_critical_points, twin_energy_reduced)
-from .spectral import SolverError, spectrum
-
-_NUMERICAL_ERRORS = (PurityBracketingError, ClassicalBracketingError,
-                     IntegrationError, SolverError, ModelConsistencyError,
-                     ValueError)
+from .algebra import ModelParams
+from .errors import NumericalError
+from .purity import critical_chi_q, map_tasks, power_law_fit, purity_scan
+from .semiclassical import (ClassicalPoint, find_fixed_points,
+                            integrate_trajectory, theta_min_analysis)
+from .spectral import spectrum
 
 
 class UsageError(Exception):
@@ -366,7 +363,7 @@ def _parse_init(text: str):
     return float(parts[0]), float(parts[1])
 
 
-def _add_common(sub):
+def _add_common(sub, overrides: dict | None):
     sub.add_argument("--n", type=int, nargs="+", default=[30],
                      help="total particle number(s)")
     sub.add_argument("--omega", type=float, default=-1.0,
@@ -382,13 +379,15 @@ def _add_common(sub):
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--workers", type=int, default=1,
                      help="worker-pool size for scans")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized utilities")
     sub.add_argument("--config", default=None,
                      help="key=value file overriding defaults")
+    sub.set_defaults(**(overrides or {}))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
+    """The ``triwell`` parser.  ``overrides`` (the ``--config`` entries)
+    replace the built-in defaults of every subcommand; explicit flags still
+    win."""
     parser = argparse.ArgumentParser(
         prog="triwell",
         description="Triple-well condensate simulation engine")
@@ -396,14 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("spectrum", help="low-lying eigenvalues")
     p.add_argument("--k", type=int, default=4, help="number of eigenpairs")
-    _add_common(p)
+    _add_common(p, overrides)
     p.set_defaults(func=cmd_spectrum)
 
     p = subs.add_parser("purity-scan", help="ground-state purity vs chi")
     p.add_argument("--chi-min", type=float, default=0.0)
     p.add_argument("--chi-max", type=float, default=3.0)
     p.add_argument("--chi-steps", type=int, default=61)
-    _add_common(p)
+    _add_common(p, overrides)
     p.set_defaults(func=cmd_purity_scan)
 
     p = subs.add_parser("scaling", help="chi_c^q(N) and power-law fit")
@@ -412,13 +411,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--chi-c", type=float, default=2.0,
                    help="semiclassical critical value used in the fit")
-    _add_common(p)
+    _add_common(p, overrides)
     p.set_defaults(func=cmd_scaling)
 
     p = subs.add_parser("fields", help="Husimi and phase distributions")
     p.add_argument("--pop-grid", type=int, default=101)
     p.add_argument("--phase-grid", type=int, default=256)
-    _add_common(p)
+    _add_common(p, overrides)
     p.set_defaults(func=cmd_fields)
 
     p = subs.add_parser("fixed-points", help="classical equilibria table")
@@ -427,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi-scan", type=float, nargs=3, default=None,
                    metavar=("LO", "HI", "STEPS"),
                    help="also scan branch energies over chi")
-    _add_common(p)
+    _add_common(p, overrides)
     p.set_defaults(func=cmd_fixed_points)
 
     p = subs.add_parser("trajectory", help="semiclassical trajectories")
@@ -436,47 +435,40 @@ def build_parser() -> argparse.ArgumentParser:
                    help="twin-sector initial condition (repeatable)")
     p.add_argument("--t-max", type=float, default=100.0)
     p.add_argument("--dt", type=float, default=0.05)
-    _add_common(p)
+    _add_common(p, overrides)
     p.set_defaults(func=cmd_trajectory)
 
     p = subs.add_parser("theta-min", help="twin-manifold minimum analysis")
     p.add_argument("--chi-min", type=float, default=0.0)
     p.add_argument("--chi-max", type=float, default=4.0)
     p.add_argument("--chi-steps", type=int, default=81)
-    _add_common(p)
+    _add_common(p, overrides)
     p.set_defaults(func=cmd_theta_min)
 
-    parser._command_parsers = [subs.choices[name] for name in subs.choices]
     return parser
 
 
-def _apply_config(argv, parser):
-    """Load key=value defaults from --config before full parsing."""
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 >= len(argv):
-            parser.error("--config requires a file path")
-        path = Path(argv[idx + 1])
-        if not path.exists():
-            parser.error(f"config file not found: {path}")
-        overrides = {}
-        for line in path.read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                parser.error(f"malformed config line: {line!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            overrides[key.replace("-", "_")] = _coerce(key, value)
-        parser.set_defaults(**overrides)
-        # subparsers re-apply their own defaults, so push overrides there too
-        for sub in getattr(parser, "_command_parsers", []):
-            sub.set_defaults(**{k: v for k, v in overrides.items()
-                                if any(a.dest == k for a in sub._actions)})
-    return argv
+def _read_config(argv) -> dict:
+    """The key = value defaults of the file given by --config, if any."""
+    pre = argparse.ArgumentParser(prog="triwell", add_help=False,
+                                  allow_abbrev=False)
+    pre.add_argument("--config")
+    name = pre.parse_known_args(argv)[0].config
+    if name is None:
+        return {}
+    path = Path(name)
+    if not path.is_file():
+        raise UsageError(f"config file not found: {path}")
+    overrides = {}
+    for line in path.read_text().splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"malformed config line: {line!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        overrides[key.replace("-", "_")] = _coerce(key, value)
+    return overrides
 
 
 def _coerce(key: str, value: str):
@@ -492,17 +484,17 @@ def _coerce(key: str, value: str):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = _apply_config(argv, parser)
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = build_parser(_read_config(argv)).parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
+    # LinAlgError (a LAPACK failure) subclasses ValueError; catch it first.
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (UsageError, ValueError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""SU(3) coherent states and their closed-form expectation values.
+"""SU(3) coherent states and normalized states on the Fock basis.
 
 A coherent point is the complex pair (w1, w2) with the third amplitude gauge
 fixed to 1.  Fock amplitudes use log-gamma accumulation so particle numbers
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .fock import FockBasis, hop_operator
+from .fock import FockBasis
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,6 @@ class CoherentPoint:
     def d(self) -> float:
         """Normalization denominator |w1|^2 + |w2|^2 + 1."""
         return abs(self.w1) ** 2 + abs(self.w2) ** 2 + 1.0
-
-    def amplitudes3(self) -> np.ndarray:
-        return np.array([self.w1, self.w2, 1.0], dtype=complex)
 
     def to_canonical(self, n_particles: int):
         """Chart (I1, I2, phi1, phi2): w_j = sqrt(I_j/(N-I1-I2)) e^{-i phi_j}."""
@@ -89,74 +86,3 @@ def coherent_state(basis: FockBasis, point: CoherentPoint) -> QuantumState:
             phase = phase + nj * np.angle(wj)
     amps = np.where(alive, np.exp(log_mag) * np.exp(1j * phase), 0.0)
     return QuantumState(basis, amps)
-
-
-def product_form_check(basis: FockBasis, point: CoherentPoint) -> float:
-    """Fidelity between the Fock expansion and (a_w^dag)^N |0> / sqrt(N!).
-
-    The product form is built by repeated application of the collective
-    creation operator a_w^dag = (w1 a1^dag + w2 a2^dag + a3^dag)/sqrt(D)
-    across the particle-number sectors.
-    """
-    from .fock import build_basis
-
-    n = basis.total_particles
-    coeff = point.amplitudes3() / np.sqrt(point.d)
-    current_basis = build_basis(0)
-    vec = np.ones(1, dtype=complex)
-    for m in range(n):
-        next_basis = build_basis(m + 1)
-        out = np.zeros(next_basis.dimension, dtype=complex)
-        for idx in range(current_basis.dimension):
-            occ = current_basis.states[idx]
-            for mode in range(3):
-                target = occ.copy()
-                target[mode] += 1
-                out[next_basis.index_of(target)] += (
-                    coeff[mode] * np.sqrt(target[mode]) * vec[idx])
-        current_basis, vec = next_basis, out
-    vec /= np.sqrt(np.exp(gammaln(n + 1.0)))  # divide by sqrt(N!)
-    reference = coherent_state(basis, point).amplitudes
-    return float(abs(np.vdot(vec, reference)) ** 2)
-
-
-def expectation_hop_closed_form(point: CoherentPoint, n_particles: int,
-                                i: int, j: int) -> complex:
-    """<a_i^dag a_j> on |N; w> = N conj(w_i) w_j / D."""
-    w = point.amplitudes3()
-    _check_modes(i, j)
-    return n_particles * np.conj(w[i - 1]) * w[j - 1] / point.d
-
-
-def expectation_self_collision_closed_form(point: CoherentPoint,
-                                           n_particles: int, i: int) -> float:
-    """<a_i^dag2 a_i^2> = N(N-1) |w_i|^4 / D^2."""
-    _check_modes(i)
-    w = point.amplitudes3()
-    return (n_particles * (n_particles - 1)
-            * abs(w[i - 1]) ** 4 / point.d ** 2)
-
-
-def expectation_cross_collision_closed_form(point: CoherentPoint,
-                                            n_particles: int,
-                                            i: int, j: int, k: int) -> complex:
-    """<n_i a_j^dag a_k> = N(N-1) |w_i|^2 conj(w_j) w_k / D^2, i,j,k distinct."""
-    _check_modes(i, j, k)
-    if len({i, j, k}) != 3:
-        raise ValueError("mode indices must be distinct")
-    w = point.amplitudes3()
-    return (n_particles * (n_particles - 1) * abs(w[i - 1]) ** 2
-            * np.conj(w[j - 1]) * w[k - 1] / point.d ** 2)
-
-
-def matrix_expectation(basis: FockBasis, point: CoherentPoint, i: int,
-                       j: int) -> complex:
-    """Matrix-sandwich oracle for <a_i^dag a_j> on the coherent state."""
-    psi = coherent_state(basis, point).amplitudes
-    return complex(np.vdot(psi, hop_operator(basis, i, j) @ psi))
-
-
-def _check_modes(*modes):
-    for m in modes:
-        if m not in (1, 2, 3):
-            raise ValueError(f"mode index must be 1, 2 or 3, got {m}")

@@ -24,7 +24,6 @@ class ScalarField2D:
     axis2: np.ndarray
     values: np.ndarray             # (len(axis1), len(axis2)), >= 0, finite
     mask: np.ndarray               # True where the grid point is valid
-    metadata: dict
 
     def max_value(self) -> float:
         return float(np.max(self.values[self.mask])) if np.any(self.mask) else 0.0
@@ -34,8 +33,8 @@ class ScalarField2D:
 _BLOCK = 1 << 16
 
 
-def husimi_population(state: QuantumState, i1_grid, i2_grid,
-                      metadata: dict | None = None) -> ScalarField2D:
+def husimi_population(state: QuantumState, i1_grid,
+                      i2_grid) -> ScalarField2D:
     """Quasi-probability of mean occupations Q_I(I1, I2).
 
     Closed form: the phase average leaves |C|^2 sum_n multinomial *
@@ -54,7 +53,7 @@ def husimi_population(state: QuantumState, i1_grid, i2_grid,
     else:
         values[mask] = _husimi_points(state, x1[mask], x2[mask])
     values = np.clip(values, 0.0, None)
-    return ScalarField2D("I1", i1, "I2", i2, values, mask, metadata or {})
+    return ScalarField2D("I1", i1, "I2", i2, values, mask)
 
 
 def _husimi_points(state: QuantumState, x1, x2) -> np.ndarray:
@@ -105,8 +104,8 @@ def _safe_log(x):
         return np.where(x > 0.0, np.log(np.where(x > 0.0, x, 1.0)), -np.inf)
 
 
-def phase_distribution(state: QuantumState, phi1_grid, phi2_grid,
-                       metadata: dict | None = None) -> ScalarField2D:
+def phase_distribution(state: QuantumState, phi1_grid,
+                       phi2_grid) -> ScalarField2D:
     """Collective-phase distribution |sum_n e^{i(n1 phi1 + n2 phi2)} c_n|^2."""
     basis = state.basis
     n = basis.total_particles
@@ -121,8 +120,7 @@ def phase_distribution(state: QuantumState, phi1_grid, phi2_grid,
     field = e1 @ coeff @ e2
     values = np.abs(field) ** 2
     mask = np.ones(values.shape, dtype=bool)
-    return ScalarField2D("phi1", phi1, "phi2", phi2, values, mask,
-                         metadata or {})
+    return ScalarField2D("phi1", phi1, "phi2", phi2, values, mask)
 
 
 def phase_marginal_variance(field: ScalarField2D, axis: int = 0) -> float:

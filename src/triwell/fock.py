@@ -57,97 +57,18 @@ def build_basis(n_particles: int) -> FockBasis:
     return FockBasis(n, np.stack([n1, n2, n - n1 - n2], axis=1))
 
 
-class SparseHermitianOperator:
-    """Sparse Hermitian matrix on a fixed Fock sector.
-
-    Stored as a full sparse matrix; the canonical serialization keeps only
-    the upper triangle (row <= col), the lower triangle being implied by
-    conjugate symmetry.
-    """
-
-    def __init__(self, matrix, check: bool = True):
-        m = sp.csr_matrix(matrix)
-        if m.shape[0] != m.shape[1]:
-            raise ValueError("operator matrix must be square")
-        if check:
-            defect = _hermiticity_defect(m)
-            if defect > _HERMITICITY_TOL * max(1.0, _norm(m)):
-                raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-        self.matrix = m
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def from_triangle_entries(cls, dimension: int, entries) -> "SparseHermitianOperator":
-        """Build from (row, col, value) entries with row <= col.
-
-        The conjugate of every strictly-upper entry is implied; duplicate
-        (row, col) pairs are rejected.
-        """
-        rows, cols, vals = [], [], []
-        seen = set()
-        for r, c, v in entries:
-            if r > c:
-                raise ValueError(f"entry ({r}, {c}) below the diagonal")
-            if (r, c) in seen:
-                raise ValueError(f"duplicate entry at ({r}, {c})")
-            seen.add((r, c))
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-            if r == c:
-                if abs(complex(v).imag) > _HERMITICITY_TOL:
-                    raise ValueError(f"diagonal entry at {r} is not real")
-            else:
-                rows.append(c)
-                cols.append(r)
-                vals.append(np.conj(v))
-        m = sp.csr_matrix((np.asarray(vals, dtype=complex), (rows, cols)),
-                          shape=(dimension, dimension))
-        return cls(m, check=False)
-
-    def triangle_entries(self):
-        """Yield the stored (row, col, value) entries with row <= col."""
-        coo = self.matrix.tocoo()
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            if r <= c:
-                yield int(r), int(c), complex(v)
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def expectation(self, amplitudes: np.ndarray) -> float:
-        """<psi|A|psi> for a state vector; real up to roundoff."""
-        v = np.asarray(amplitudes)
-        return float(np.real(np.vdot(v, self.matrix @ v)))
-
-    def hermiticity_defect(self) -> float:
-        return _hermiticity_defect(self.matrix)
-
-    def __add__(self, other):
-        return SparseHermitianOperator(self.matrix + other.matrix, check=False)
-
-    def __sub__(self, other):
-        return SparseHermitianOperator(self.matrix - other.matrix, check=False)
-
-    def __mul__(self, scalar):
-        if abs(complex(scalar).imag) > 0:
-            raise ValueError("only real scalars preserve Hermiticity")
-        return SparseHermitianOperator(self.matrix * float(np.real(scalar)),
-                                       check=False)
-
-    __rmul__ = __mul__
-
-
-def _hermiticity_defect(m) -> float:
+def check_hermitian(m) -> sp.csr_matrix:
+    """``m`` as a CSR matrix; raises ValueError unless it is square and
+    Hermitian to 1e-12 of its largest entry (or of 1, if that is larger)."""
+    m = sp.csr_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("operator matrix must be square")
     d = m - m.conjugate().transpose()
-    return 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
-
-
-def _norm(m) -> float:
-    return 0.0 if m.nnz == 0 else float(np.max(np.abs(m.data)))
+    defect = 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
+    scale = 0.0 if m.nnz == 0 else float(np.max(np.abs(m.data)))
+    if defect > _HERMITICITY_TOL * max(1.0, scale):
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
+    return m
 
 
 def hop_operator(basis: FockBasis, i: int, j: int) -> sp.csr_matrix:
@@ -169,10 +90,6 @@ def hop_operator(basis: FockBasis, i: int, j: int) -> sp.csr_matrix:
     rows = lex_rank(basis.total_particles, target[:, 0], target[:, 1])
     vals = np.sqrt(occ[cols, j - 1] * (occ[cols, i - 1] + 1.0))
     return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-
-
-def number_operator(basis: FockBasis, i: int) -> sp.csr_matrix:
-    return hop_operator(basis, i, i)
 
 
 # Orthonormal partners of the two-dimensional irrep E of S3 on the three

@@ -15,17 +15,9 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.stats import linregress
 
-from .algebra import GeneratorSet, ModelParams, model_context
+from .algebra import ModelParams, model_context
 from .coherent import QuantumState
-from .fock import FockBasis
-
-
-class BracketingError(ValueError):
-    """A minimum or root was not bracketed by the supplied window."""
-
-
-class ConsistencyError(RuntimeError):
-    """Internal cross-check between two purity routes failed."""
+from .errors import BracketingError
 
 
 @dataclass(frozen=True)
@@ -54,76 +46,23 @@ class ScalingFit:
 _PURITY_WEIGHTS = {"q1": 3.0, "q2": 4.0, "p": 12.0, "j": 12.0}
 
 
-def generalized_purity(state: QuantumState, gens: GeneratorSet,
+def generalized_purity(state: QuantumState, gens: tuple,
                        n_particles: int) -> float:
-    """Squared-expectation purity over the eight su(3) generators.
+    """Squared-expectation purity over the eight su(3) generators
+    (``algebra.generators``: Q1, Q2, P1, P2, P3, J1, J2, J3).
 
     Equals 1 exactly on coherent states and 0 on maximally spread states.
     """
     if n_particles == 0:
         raise ValueError("purity is undefined for zero particles")
     v = state.amplitudes
-    ex = [g.expectation(v) for g in gens.as_list()]
-    q1, q2, p1, p2, p3, j1, j2, j3 = ex
+    q1, q2, p1, p2, p3, j1, j2, j3 = (float(np.real(np.vdot(v, g @ v)))
+                                      for g in gens)
     total = (q1 ** 2 / _PURITY_WEIGHTS["q1"]
              + q2 ** 2 / _PURITY_WEIGHTS["q2"]
              + (p1 ** 2 + p2 ** 2 + p3 ** 2) / _PURITY_WEIGHTS["p"]
              + (j1 ** 2 + j2 ** 2 + j3 ** 2) / _PURITY_WEIGHTS["j"])
     return 9.0 / n_particles ** 2 * total
-
-
-def orthonormal_generator_basis(basis: FockBasis, gens: GeneratorSet):
-    """Orthonormalize the 8 generators under the N-sector trace product."""
-    mats = [g.to_dense() for g in gens.as_list()]
-    gram = np.zeros((8, 8))
-    for a in range(8):
-        for b in range(a, 8):
-            gram[a, b] = gram[b, a] = float(
-                np.real(np.trace(mats[a].conj().T @ mats[b])))
-    vals, vecs = np.linalg.eigh(gram)
-    if np.min(vals) <= 0:
-        raise ConsistencyError("generator Gram matrix is not positive definite")
-    coeffs = vecs / np.sqrt(vals)          # columns map gens -> orthonormal
-    return [sum(coeffs[a, b] * mats[a] for a in range(8)) for b in range(8)]
-
-
-def algebra_reduced_purity(state: QuantumState, basis: FockBasis,
-                           gens: GeneratorSet) -> tuple:
-    """Trace of the squared algebra-reduced density operator.
-
-    Returns (sum_j Tr(rho A_j)^2, K) where {A_j} is the trace-orthonormal
-    generator basis and K is the proportionality constant making
-    K * sum_j Tr(rho A_j)^2 equal the generalized purity for this state.
-    """
-    ortho = orthonormal_generator_basis(basis, gens)
-    v = state.amplitudes
-    traces = [float(np.real(np.vdot(v, a @ v))) for a in ortho]
-    s = float(np.sum(np.square(traces)))
-    p = generalized_purity(state, gens, basis.total_particles)
-    if s == 0.0:
-        return 0.0, np.inf if p > 0 else np.nan
-    return s, p / s
-
-
-def algebra_purity_constant(n_particles: int, n_states: int = 20,
-                            seed: int = 0, tol: float = 1e-8) -> float:
-    """Empirical K(N) with a state-independence check over random states."""
-    ctx = model_context(n_particles)
-    rng = np.random.default_rng(seed)
-    ks = []
-    for _ in range(n_states):
-        v = rng.normal(size=ctx.basis.dimension) \
-            + 1j * rng.normal(size=ctx.basis.dimension)
-        v /= np.linalg.norm(v)
-        state = QuantumState(ctx.basis, v)
-        _, k = algebra_reduced_purity(state, ctx.basis, ctx.gens)
-        ks.append(k)
-    ks = np.asarray(ks)
-    spread = float(np.max(ks) - np.min(ks)) / max(1.0, float(np.mean(np.abs(ks))))
-    if spread > tol:
-        raise ConsistencyError(
-            f"K is not state independent at N={n_particles} (spread {spread:.3e})")
-    return float(np.mean(ks))
 
 
 def ground_state_purity(omega: float, mu: float, n_particles: int,

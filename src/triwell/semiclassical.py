@@ -1,17 +1,15 @@
 """Classical limit of the triple-well model on the coherent-state manifold.
 
-Covers the coherent-state energy surface, canonical and w-chart equations of
-motion, trajectory integration, twin-sector fixed points with stability,
-the saddle-node bifurcation chi_plus, the level-crossing transition chi_c,
-and the theta_min / H_min first-order analysis.
+Covers the coherent-state energy surface, the w-chart equations of motion,
+trajectory integration, twin-sector fixed points with stability, the
+saddle-node bifurcation chi_plus, the level-crossing transition chi_c, and
+the theta_min / H_min first-order analysis.
 
 Trajectories are integrated in the w-chart, which is free of coordinate
 singularities at empty wells or equal phases; the canonical chart
 (I1, I2, phi1, phi2) is a post-processing conversion.  The w-chart flow,
 the energy samples and the canonical Hessian behind the fixed-point
-stability are closed forms in numpy; only canonical_hamiltonian,
-canonical_gradient and canonical_velocity build a symbolic (sympy) chart,
-once per process.
+stability are closed forms in numpy.
 """
 
 from __future__ import annotations
@@ -27,19 +25,12 @@ from scipy.optimize import brentq
 
 from .algebra import ModelParams
 from .coherent import CoherentPoint
+from .errors import BracketingError, IntegrationError
 
 _STABLE = "stable-center"
 _UNSTABLE = "unstable"
 
 _STABILITY_REL = 1e-8
-
-
-class BracketingError(ValueError):
-    """Bracket does not contain the requested bifurcation or root."""
-
-
-class IntegrationError(RuntimeError):
-    """Trajectory integration failed or violated the energy-drift bound."""
 
 
 @dataclass(frozen=True)
@@ -255,75 +246,6 @@ def linearization(point: ClassicalPoint, params: ModelParams) -> np.ndarray:
     h_ip = -(u.T * ts) @ _TERM_PHASES
     h_pp = -(_TERM_PHASES.T * tc) @ _TERM_PHASES
     return np.block([[-h_ip.T, -h_pp], [h_ii, h_ip]])
-
-
-_CANONICAL_CACHE = None
-
-
-def _canonical_functions():
-    """Symbolic H and gradient in the canonical chart, built once."""
-    global _CANONICAL_CACHE
-    if _CANONICAL_CACHE is None:
-        import sympy as sym
-
-        i1, i2, p1, p2 = sym.symbols("I1 I2 p1 p2", real=True, positive=False)
-        omp, kp, lm, n = sym.symbols("omp kp lm n", real=True)
-        i3 = n - i1 - i2
-        tun = 2 * (sym.sqrt(i1 * i2) * sym.cos(p1 - p2)
-                   + sym.sqrt(i1 * i3) * sym.cos(p1)
-                   + sym.sqrt(i2 * i3) * sym.cos(p2))
-        quad = (n - 1) / n * (
-            kp * (i1 ** 2 + i2 ** 2 + i3 ** 2)
-            - 4 * lm * (i1 * sym.sqrt(i2 * i3) * sym.cos(p2)
-                        + i2 * sym.sqrt(i1 * i3) * sym.cos(p1)
-                        + i3 * sym.sqrt(i1 * i2) * sym.cos(p1 - p2)))
-        ham = omp * tun + quad
-        coords = (i1, i2, p1, p2)
-        grad = [sym.diff(ham, v) for v in coords]
-        args = coords + (omp, kp, lm, n)
-        _CANONICAL_CACHE = (
-            sym.lambdify(args, ham, "numpy"),
-            sym.lambdify(args, grad, "numpy"),
-        )
-    return _CANONICAL_CACHE
-
-
-def canonical_hamiltonian(i1, i2, phi1, phi2, params: ModelParams) -> float:
-    ham, _ = _canonical_functions()
-    return float(ham(i1, i2, phi1, phi2, params.omega_eff, params.kappa,
-                     params.lam, params.n_particles))
-
-
-def canonical_gradient(i1, i2, phi1, phi2, params: ModelParams) -> np.ndarray:
-    """(dH/dI1, dH/dI2, dH/dphi1, dH/dphi2), analytic."""
-    _, grad = _canonical_functions()
-    return np.asarray(grad(i1, i2, phi1, phi2, params.omega_eff, params.kappa,
-                           params.lam, params.n_particles), dtype=float)
-
-
-def canonical_velocity(point: ClassicalPoint,
-                       params: ModelParams) -> np.ndarray:
-    """Canonical flow (dI1, dI2, dphi1, dphi2)/dt."""
-    i1, i2, phi1, phi2 = point.canonical(params.n_particles)
-    g = canonical_gradient(i1, i2, phi1, phi2, params)
-    return np.array([-g[2], -g[3], g[0], g[1]])
-
-
-def equations_of_motion(point: ClassicalPoint, params: ModelParams,
-                        boundary_margin: float = 1e-6):
-    """Phase-space velocity at a point.
-
-    Returns ("canonical", (dI1, dI2, dphi1, dphi2)) away from the chart
-    boundary, and ("w", (dw1, dw2)) when any mean occupation is within
-    boundary_margin * N of the boundary.
-    """
-    n = params.n_particles
-    i1, i2, _, _ = point.canonical(n)
-    i3 = n - i1 - i2
-    eps = boundary_margin * n
-    if min(i1, i2, i3) < eps:
-        return "w", w_velocity(point, params)
-    return "canonical", canonical_velocity(point, params)
 
 
 def _classify_stability(eigenvalues: np.ndarray) -> str:

@@ -27,9 +27,9 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
-from .algebra import ModelParams, model_context
+from .algebra import HamiltonianTerms, ModelParams, model_context
 from .coherent import QuantumState
-from .fock import SparseHermitianOperator
+from .errors import SolverError
 
 DENSE_LIMIT = 2000
 _RESIDUAL_FACTOR = 1e-10
@@ -37,14 +37,10 @@ _RESIDUAL_FACTOR = 1e-10
 _SECTOR_ORDER = {"A1": 0, "A2": 1, "E": 2}
 
 
-class SolverError(RuntimeError):
-    """Eigensolver failed to converge; carries diagnostic detail."""
-
-
 @dataclass(frozen=True)
 class SpectrumResult:
     eigenvalues: np.ndarray          # ascending; A1, A2, E inside a cluster
-    states: list                     # QuantumState, same order
+    states: list                     # QuantumState (ndarray per block)
     residuals: np.ndarray            # per-pair ||Hv - Ev||
     labels: tuple = ()               # per-level sector: "A1", "A2" or "E"
     # lowest level of a sector other than the ground level's, minus the
@@ -52,18 +48,19 @@ class SpectrumResult:
     sector_gap: float = math.nan
 
 
-def eigensolve_lowest(operator: SparseHermitianOperator, k: int,
-                      basis=None, dense: bool | None = None) -> SpectrumResult:
-    """k lowest eigenpairs of a real symmetric operator, with orthonormal,
-    sign-fixed eigenvectors.
+def eigensolve_lowest(terms: HamiltonianTerms, params: ModelParams, k: int,
+                      dense: bool | None = None) -> SpectrumResult:
+    """k lowest eigenpairs of the real symmetric matrix
+    ``terms.hamiltonian(params)``, with orthonormal, sign-fixed eigenvectors
+    (plain arrays in ``states``).
 
     ``dense`` selects LAPACK over Krylov; by default LAPACK is used up to
     dimension DENSE_LIMIT.
     """
-    dim = operator.dimension
+    dim = terms.dimension
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in 1..{dim}, got {k}")
-    m = operator.matrix
+    m = terms.hamiltonian(params)
     if dense is None:
         dense = dim <= DENSE_LIMIT
     if dense or k > dim // 4:
@@ -80,8 +77,7 @@ def eigensolve_lowest(operator: SparseHermitianOperator, k: int,
         vecs = _fix_signs(vecs)
         residuals = np.linalg.norm(m @ vecs - vecs * vals[None, :], axis=0)
         _check_residuals(residuals, scale)
-    states = [_wrap_state(vecs[:, i], basis) for i in range(k)]
-    return SpectrumResult(vals, states, residuals)
+    return SpectrumResult(vals, [vecs[:, i] for i in range(k)], residuals)
 
 
 def _check_residuals(residuals, scale):
@@ -106,12 +102,6 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude amplitude of each real vector positive."""
     pivots = np.argmax(np.abs(vecs), axis=0)
     return vecs * np.sign(vecs[pivots, np.arange(vecs.shape[1])])
-
-
-def _wrap_state(vec, basis):
-    if basis is None:
-        return vec
-    return QuantumState(basis, vec)
 
 
 def degenerate_clusters(eigenvalues: np.ndarray,
@@ -140,7 +130,7 @@ def spectrum(params: ModelParams, k: int) -> SpectrumResult:
     for sector in ctx.sectors:
         partners = len(sector.isometries)
         block = eigensolve_lowest(
-            sector.terms.hamiltonian(params),
+            sector.terms, params,
             min(-(-k // partners), sector.terms.dimension),
             dense=dim <= DENSE_LIMIT)
         for energy, vec in zip(block.eigenvalues, block.states):
@@ -157,7 +147,7 @@ def spectrum(params: ModelParams, k: int) -> SpectrumResult:
     vals = np.array([level[0] for level in kept])
     vecs = _fix_signs(np.column_stack(
         [isometry @ vec for _, _, vec, isometry in kept]))
-    h = ctx.hamiltonian(params).matrix
+    h = ctx.hamiltonian(params)
     residuals = np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
     _check_residuals(residuals, max(1.0, float(np.max(np.abs(vals)))))
     return SpectrumResult(

@@ -5,7 +5,212 @@ over speed."""
 import functools
 
 import numpy as np
+from scipy.special import gammaln
 
+from triwell.algebra import (ModelParams, generators, hamiltonian_terms,
+                             model_context)
+from triwell.coherent import (CoherentPoint, QuantumState, coherent_state,
+                              log_multinomial)
+from triwell.fock import FockBasis, build_basis, check_hermitian, hop_operator
+from triwell.purity import generalized_purity
+from triwell.semiclassical import ClassicalPoint
+
+
+class ModelConsistencyError(RuntimeError):
+    """The two Hamiltonian forms do not agree up to an identity shift."""
+
+
+class ConsistencyError(RuntimeError):
+    """Internal cross-check between two purity routes failed."""
+
+
+def expectation(op, v) -> float:
+    """<v|A|v> of a Hermitian matrix; real up to roundoff."""
+    return float(np.real(np.vdot(v, op @ v)))
+
+
+# ---------------------------------------------------------------------------
+# Hamiltonian forms
+# ---------------------------------------------------------------------------
+
+def hamiltonian_direct(basis: FockBasis, params: ModelParams):
+    """The Hamiltonian from bosonic bilinears (canonical form)."""
+    T, K, V = hamiltonian_terms(basis)
+    m = params.omega_eff * T + params.kappa * K - 2.0 * params.lam * V
+    return check_hermitian(m)
+
+
+def hamiltonian_generators(basis: FockBasis, params: ModelParams):
+    """The Hamiltonian rewritten through the su(3) generators."""
+    q1, q2, p1, p2, p3, _, _, _ = generators(basis)
+    n = params.n_particles
+    lin = (params.omega_eff - 2.0 * params.lam * n / 3.0) * (p1 + p2 + p3)
+    quad = 0.5 * params.kappa * (4.0 * (q1 @ q1) + 3.0 * (q2 @ q2))
+    cross = params.lam * (2.0 * q1 @ (p1 - p3) + q2 @ (2.0 * p2 - p1 - p3))
+    return check_hermitian(lin + quad + cross)
+
+
+def verify_equivalence(basis: FockBasis, params: ModelParams,
+                       tol: float = 1e-10) -> float:
+    """Return c with H_direct - H_generators = c * Identity.
+
+    Raises ModelConsistencyError if the difference is not proportional to
+    the identity within tol relative to the matrix norm (a generator
+    definition bug).  Analytically c = kappa * (N^2/3 - N).
+    """
+    hd = hamiltonian_direct(basis, params)
+    hg = hamiltonian_generators(basis, params)
+    diff = (hd - hg).toarray()
+    c = float(np.real(np.trace(diff))) / basis.dimension
+    residual = diff - c * np.eye(basis.dimension)
+    scale = max(1.0, float(np.max(np.abs(hd.toarray()))))
+    worst = float(np.max(np.abs(residual)))
+    if worst > tol * scale:
+        raise ModelConsistencyError(
+            f"difference is not a scalar shift (residual {worst:.3e}, "
+            f"scale {scale:.3e})")
+    return c
+
+
+# ---------------------------------------------------------------------------
+# Coherent states
+# ---------------------------------------------------------------------------
+
+def amplitudes3(point: CoherentPoint) -> np.ndarray:
+    """The three mode amplitudes (w1, w2, 1)."""
+    return np.array([point.w1, point.w2, 1.0], dtype=complex)
+
+
+def product_form_check(basis: FockBasis, point: CoherentPoint) -> float:
+    """Fidelity between the Fock expansion and (a_w^dag)^N |0> / sqrt(N!).
+
+    The product form is built by repeated application of the collective
+    creation operator a_w^dag = (w1 a1^dag + w2 a2^dag + a3^dag)/sqrt(D)
+    across the particle-number sectors.
+    """
+    n = basis.total_particles
+    coeff = amplitudes3(point) / np.sqrt(point.d)
+    current_basis = build_basis(0)
+    vec = np.ones(1, dtype=complex)
+    for m in range(n):
+        next_basis = build_basis(m + 1)
+        out = np.zeros(next_basis.dimension, dtype=complex)
+        for idx in range(current_basis.dimension):
+            occ = current_basis.states[idx]
+            for mode in range(3):
+                target = occ.copy()
+                target[mode] += 1
+                out[next_basis.index_of(target)] += (
+                    coeff[mode] * np.sqrt(target[mode]) * vec[idx])
+        current_basis, vec = next_basis, out
+    vec /= np.sqrt(np.exp(gammaln(n + 1.0)))  # divide by sqrt(N!)
+    reference = coherent_state(basis, point).amplitudes
+    return float(abs(np.vdot(vec, reference)) ** 2)
+
+
+def expectation_hop_closed_form(point: CoherentPoint, n_particles: int,
+                                i: int, j: int) -> complex:
+    """<a_i^dag a_j> on |N; w> = N conj(w_i) w_j / D."""
+    w = amplitudes3(point)
+    _check_modes(i, j)
+    return n_particles * np.conj(w[i - 1]) * w[j - 1] / point.d
+
+
+def expectation_self_collision_closed_form(point: CoherentPoint,
+                                           n_particles: int, i: int) -> float:
+    """<a_i^dag2 a_i^2> = N(N-1) |w_i|^4 / D^2."""
+    _check_modes(i)
+    w = amplitudes3(point)
+    return (n_particles * (n_particles - 1)
+            * abs(w[i - 1]) ** 4 / point.d ** 2)
+
+
+def expectation_cross_collision_closed_form(point: CoherentPoint,
+                                            n_particles: int,
+                                            i: int, j: int, k: int) -> complex:
+    """<n_i a_j^dag a_k> = N(N-1) |w_i|^2 conj(w_j) w_k / D^2, i,j,k distinct."""
+    _check_modes(i, j, k)
+    if len({i, j, k}) != 3:
+        raise ValueError("mode indices must be distinct")
+    w = amplitudes3(point)
+    return (n_particles * (n_particles - 1) * abs(w[i - 1]) ** 2
+            * np.conj(w[j - 1]) * w[k - 1] / point.d ** 2)
+
+
+def matrix_expectation(basis: FockBasis, point: CoherentPoint, i: int,
+                       j: int) -> complex:
+    """Matrix-sandwich oracle for <a_i^dag a_j> on the coherent state."""
+    psi = coherent_state(basis, point).amplitudes
+    return complex(np.vdot(psi, hop_operator(basis, i, j) @ psi))
+
+
+def _check_modes(*modes):
+    for m in modes:
+        if m not in (1, 2, 3):
+            raise ValueError(f"mode index must be 1, 2 or 3, got {m}")
+
+
+# ---------------------------------------------------------------------------
+# Algebra-reduced purity
+# ---------------------------------------------------------------------------
+
+def orthonormal_generator_basis(basis: FockBasis, gens: tuple):
+    """Orthonormalize the 8 generators under the N-sector trace product."""
+    mats = [g.toarray() for g in gens]
+    gram = np.zeros((8, 8))
+    for a in range(8):
+        for b in range(a, 8):
+            gram[a, b] = gram[b, a] = float(
+                np.real(np.trace(mats[a].conj().T @ mats[b])))
+    vals, vecs = np.linalg.eigh(gram)
+    if np.min(vals) <= 0:
+        raise ConsistencyError("generator Gram matrix is not positive definite")
+    coeffs = vecs / np.sqrt(vals)          # columns map gens -> orthonormal
+    return [sum(coeffs[a, b] * mats[a] for a in range(8)) for b in range(8)]
+
+
+def algebra_reduced_purity(state: QuantumState, basis: FockBasis,
+                           gens: tuple) -> tuple:
+    """Trace of the squared algebra-reduced density operator.
+
+    Returns (sum_j Tr(rho A_j)^2, K) where {A_j} is the trace-orthonormal
+    generator basis and K is the proportionality constant making
+    K * sum_j Tr(rho A_j)^2 equal the generalized purity for this state.
+    """
+    ortho = orthonormal_generator_basis(basis, gens)
+    v = state.amplitudes
+    traces = [float(np.real(np.vdot(v, a @ v))) for a in ortho]
+    s = float(np.sum(np.square(traces)))
+    p = generalized_purity(state, gens, basis.total_particles)
+    if s == 0.0:
+        return 0.0, np.inf if p > 0 else np.nan
+    return s, p / s
+
+
+def algebra_purity_constant(n_particles: int, n_states: int = 20,
+                            seed: int = 0, tol: float = 1e-8) -> float:
+    """Empirical K(N) with a state-independence check over random states."""
+    ctx = model_context(n_particles)
+    rng = np.random.default_rng(seed)
+    ks = []
+    for _ in range(n_states):
+        v = rng.normal(size=ctx.basis.dimension) \
+            + 1j * rng.normal(size=ctx.basis.dimension)
+        v /= np.linalg.norm(v)
+        state = QuantumState(ctx.basis, v)
+        _, k = algebra_reduced_purity(state, ctx.basis, ctx.gens)
+        ks.append(k)
+    ks = np.asarray(ks)
+    spread = float(np.max(ks) - np.min(ks)) / max(1.0, float(np.mean(np.abs(ks))))
+    if spread > tol:
+        raise ConsistencyError(
+            f"K is not state independent at N={n_particles} (spread {spread:.3e})")
+    return float(np.mean(ks))
+
+
+# ---------------------------------------------------------------------------
+# w-chart flow
+# ---------------------------------------------------------------------------
 
 def w_moments(w1, w2):
     """(h1, h2, h3, D) of (w1, w2, 1) by explicit sums; h3 stays complex."""
@@ -57,8 +262,14 @@ def w_velocity(w1, w2, params):
                                  w_gradient(w1, w2, params))
 
 
+# ---------------------------------------------------------------------------
+# Canonical chart (sympy)
+# ---------------------------------------------------------------------------
+
 @functools.lru_cache(maxsize=None)
-def _canonical_hessian():
+def _canonical_functions():
+    """H(I1, I2, phi1, phi2) with I3 = N - I1 - I2, built once in sympy, and
+    its gradient and Hessian, lambdified to (ham, grad, hess)."""
     import sympy as sym
 
     x1, x2, p1, p2 = sym.symbols("I1 I2 p1 p2", real=True)
@@ -72,21 +283,65 @@ def _canonical_hessian():
         - 4 * lam * (x1 * sym.sqrt(x2 * x3) * sym.cos(p2)
                      + x2 * sym.sqrt(x1 * x3) * sym.cos(p1)
                      + x3 * sym.sqrt(x1 * x2) * sym.cos(p1 - p2)))
+    ham = omega_eff * tunneling + collision
     coords = (x1, x2, p1, p2)
-    hess = sym.hessian(omega_eff * tunneling + collision, coords)
-    return sym.lambdify(coords + (omega_eff, kappa, lam, n), hess, "numpy")
+    args = coords + (omega_eff, kappa, lam, n)
+    return tuple(sym.lambdify(args, f, "numpy")
+                 for f in (ham, [sym.diff(ham, v) for v in coords],
+                           sym.hessian(ham, coords)))
+
+
+def _chart_call(index, i1, i2, phi1, phi2, params):
+    return _canonical_functions()[index](
+        i1, i2, phi1, phi2, params.omega_eff, params.kappa, params.lam,
+        params.n_particles)
+
+
+def canonical_hamiltonian(i1, i2, phi1, phi2, params) -> float:
+    return float(_chart_call(0, i1, i2, phi1, phi2, params))
+
+
+def canonical_gradient(i1, i2, phi1, phi2, params) -> np.ndarray:
+    """(dH/dI1, dH/dI2, dH/dphi1, dH/dphi2), analytic."""
+    return np.asarray(_chart_call(1, i1, i2, phi1, phi2, params), dtype=float)
+
+
+def canonical_velocity(point: ClassicalPoint, params) -> np.ndarray:
+    """Canonical flow (dI1, dI2, dphi1, dphi2)/dt."""
+    i1, i2, phi1, phi2 = point.canonical(params.n_particles)
+    g = canonical_gradient(i1, i2, phi1, phi2, params)
+    return np.array([-g[2], -g[3], g[0], g[1]])
+
+
+def equations_of_motion(point: ClassicalPoint, params,
+                        boundary_margin: float = 1e-6):
+    """Phase-space velocity at a point.
+
+    Returns ("canonical", (dI1, dI2, dphi1, dphi2)) away from the chart
+    boundary, and ("w", (dw1, dw2)) when any mean occupation is within
+    boundary_margin * N of the boundary.
+    """
+    n = params.n_particles
+    i1, i2, _, _ = point.canonical(n)
+    i3 = n - i1 - i2
+    eps = boundary_margin * n
+    if min(i1, i2, i3) < eps:
+        return "w", w_velocity(point.w1, point.w2, params)
+    return "canonical", canonical_velocity(point, params)
 
 
 def canonical_flow_matrix(i1, i2, phi1, phi2, params):
     """S * Hess(H) in the canonical chart, with the Hessian from sympy."""
-    hess = np.array(_canonical_hessian()(
-        i1, i2, phi1, phi2, params.omega_eff, params.kappa, params.lam,
-        params.n_particles), dtype=float)
+    hess = np.array(_chart_call(2, i1, i2, phi1, phi2, params), dtype=float)
     s = np.zeros((4, 4))
     s[0, 2] = s[1, 3] = -1.0
     s[2, 0] = s[3, 1] = 1.0
     return s @ hess
 
+
+# ---------------------------------------------------------------------------
+# Husimi function
+# ---------------------------------------------------------------------------
 
 def _safe_log(x):
     """ln x, with -inf at x <= 0."""
@@ -104,8 +359,6 @@ def _occ_term(n_arr, ratio):
 def husimi_population_loop(state, i1_grid, i2_grid):
     """Q_I(I1, I2) point by point: the values and mask that
     ``distributions.husimi_population`` evaluates block-wise."""
-    from triwell.coherent import log_multinomial
-
     basis = state.basis
     n = basis.total_particles
     occ = basis.states
@@ -147,8 +400,6 @@ def husimi_quadrature_oracle(state, i1: float, i2: float,
     The rectangle rule on a uniform periodic grid is exact once the number
     of points exceeds the trigonometric degree 2N of the integrand.
     """
-    from triwell.coherent import CoherentPoint, coherent_state
-
     basis = state.basis
     n = basis.total_particles
     i3 = n - i1 - i2

@@ -102,6 +102,17 @@ def test_malformed_flag_exits_two(tmp_path, capsys):
     assert not (tmp_path / "spectrum.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--n", "4", "--omega", "0", "--chi", "1"],
+    ["spectrum", "--n", "4", "--k", "0"],
+    ["scaling", "--n", "4", "5", "--window-min", "2.6", "--window-max", "2.0"],
+])
+def test_out_of_range_value_exits_two(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_numerical_failure_exits_three(tmp_path, capsys):
     # scaling window that cannot bracket the derivative minimum
     code = main(["scaling", "--n", "4", "5", "6", "--window-min", "0.1",
@@ -114,7 +125,7 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
 
 def test_config_file_defaults_and_precedence(tmp_path):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("n = 9\nchi = 1.5\n# comment line\n")
+    cfg.write_text("n = 9\nchi = 1.5\npop_grid = 11\n# comment line\n")
     out1 = tmp_path / "r1"
     assert main(["spectrum", "--config", str(cfg), "--out", str(out1)]) == 0
     meta = json.loads(read(out1 / "spectrum.meta.json"))
@@ -126,6 +137,18 @@ def test_config_file_defaults_and_precedence(tmp_path):
                  "--out", str(out2)]) == 0
     meta2 = json.loads(read(out2 / "spectrum.meta.json"))
     assert meta2["params"]["chi"] == pytest.approx(0.25)
+    # a subcommand-only key reaches its subcommand
+    out3 = tmp_path / "r3"
+    assert main(["fields", "--config", str(cfg), "--phase-grid", "8",
+                 "--out", str(out3)]) == 0
+    meta3 = json.loads(read(out3 / "fields.meta.json"))
+    assert meta3["pop_grid"] == 11 and meta3["params"]["n_particles"] == 9
+    assert meta3["params"]["chi"] == pytest.approx(1.5)
+    # the --config=FILE spelling reads the file too
+    out4 = tmp_path / "r4"
+    assert main(["spectrum", f"--config={cfg}", "--out", str(out4)]) == 0
+    meta4 = json.loads(read(out4 / "spectrum.meta.json"))
+    assert meta4["params"]["n_particles"] == 9
 
 
 def test_fixed_points_table_and_branch_scan(tmp_path):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import (expectation_cross_collision_closed_form,
+                     expectation_hop_closed_form,
+                     expectation_self_collision_closed_form,
+                     matrix_expectation, product_form_check)
 from triwell.coherent import (CoherentPoint, QuantumState, coherent_state,
-                              expectation_cross_collision_closed_form,
-                              expectation_hop_closed_form,
-                              expectation_self_collision_closed_form,
-                              log_multinomial, matrix_expectation,
-                              product_form_check)
+                              log_multinomial)
 from triwell.fock import build_basis, hop_operator
 
 POINTS = [

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from triwell.fock import (FockBasis, SparseHermitianOperator, build_basis,
-                          hop_operator, number_operator)
+from triwell.fock import build_basis, check_hermitian, hop_operator
 
 
 def test_dimension_formula():
@@ -58,17 +57,21 @@ def test_hop_rejects_bad_mode():
 def test_number_operator_diagonal():
     basis = build_basis(6)
     for i in (1, 2, 3):
-        ni = number_operator(basis, i)
+        ni = hop_operator(basis, i, i)
         dense = ni.toarray()
         assert np.allclose(np.diag(dense), basis.states[:, i - 1])
         assert np.count_nonzero(dense - np.diag(np.diag(dense))) == 0
 
 
 def test_number_equals_hop_self():
+    """The diagonal hop a_i^dag a_i is the number operator of the
+    off-diagonal hops: [a_i^dag a_j, a_j^dag a_i] = n_i - n_j."""
     basis = build_basis(5)
-    for i in (1, 2, 3):
-        diff = number_operator(basis, i) - hop_operator(basis, i, i)
-        assert abs(diff).max() == 0
+    for i, j in ((1, 2), (2, 3), (3, 1)):
+        up, dn = hop_operator(basis, i, j), hop_operator(basis, j, i)
+        diff = (up @ dn - dn @ up
+                - (hop_operator(basis, i, i) - hop_operator(basis, j, j)))
+        assert abs(diff).max() < 1e-12
 
 
 def test_commutator_canonical():
@@ -87,45 +90,20 @@ def test_commutator_canonical():
     assert big.dimension > basis.dimension
 
 
-def test_triangle_roundtrip():
-    basis = build_basis(3)
-    m = hop_operator(basis, 1, 2) + hop_operator(basis, 2, 1)
-    op = SparseHermitianOperator(m)
-    rebuilt = SparseHermitianOperator.from_triangle_entries(
-        op.dimension, op.triangle_entries())
-    assert abs(rebuilt.matrix - op.matrix).max() < 1e-15
-
-
-def test_triangle_rejects_lower_entries():
-    with pytest.raises(ValueError):
-        SparseHermitianOperator.from_triangle_entries(3, [(2, 0, 1.0)])
-
-
-def test_triangle_rejects_duplicates():
-    with pytest.raises(ValueError):
-        SparseHermitianOperator.from_triangle_entries(
-            3, [(0, 1, 1.0), (0, 1, 2.0)])
-
-
-def test_triangle_rejects_complex_diagonal():
-    with pytest.raises(ValueError):
-        SparseHermitianOperator.from_triangle_entries(2, [(0, 0, 1.0 + 1e-6j)])
-
-
 def test_hermiticity_guard():
     m = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
-        SparseHermitianOperator(m)
+        check_hermitian(m)
 
 
 def test_operator_arithmetic_and_expectation():
     basis = build_basis(2)
-    op = SparseHermitianOperator(number_operator(basis, 1))
+    op = check_hermitian(hop_operator(basis, 1, 1))
     combined = op * 2.0 + op - op
     v = np.zeros(basis.dimension)
     v[basis.index_of((2, 0, 0))] = 1.0
-    assert combined.expectation(v) == pytest.approx(4.0)
-    assert op.hermiticity_defect() == 0.0
+    assert np.vdot(v, combined @ v).real == pytest.approx(4.0)
+    assert abs(op - op.conj().T).max() == 0.0
 
 
 def _hop_reference(basis, i, j):

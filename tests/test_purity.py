@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import algebra_purity_constant, algebra_reduced_purity
 from triwell.algebra import model_context
 from triwell.coherent import CoherentPoint, QuantumState, coherent_state
-from triwell.purity import (BracketingError, algebra_purity_constant,
-                            algebra_reduced_purity, critical_chi_q,
-                            generalized_purity, ground_state_purity,
-                            power_law_fit, purity_scan)
+from triwell.errors import BracketingError
+from triwell.purity import (critical_chi_q, generalized_purity,
+                            ground_state_purity, power_law_fit, purity_scan)
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 25])

@@ -43,9 +43,9 @@ def test_sector_isometries_orthonormal_and_complete(n):
 def test_sector_blocks_reduce_the_hamiltonian(n):
     ctx = model_context(n)
     params = ModelParams(-1.3, 0.4, 0.3, n)
-    h = ctx.hamiltonian(params).to_dense()
+    h = ctx.hamiltonian(params).toarray()
     for sector in ctx.sectors:
-        block = sector.terms.hamiltonian(params).to_dense()
+        block = sector.terms.hamiltonian(params).toarray()
         for iso in sector.isometries:
             b = iso.toarray()
             # the sector is invariant and both E partners share the block
@@ -60,7 +60,7 @@ def test_sector_blocks_reduce_the_hamiltonian(n):
 def test_merged_sector_spectrum_equals_full(n, sign, magnitude, kappa, lam):
     params = ModelParams(sign * magnitude, kappa, lam, n)
     ctx = model_context(n)
-    full = np.linalg.eigvalsh(ctx.hamiltonian(params).to_dense())
+    full = np.linalg.eigvalsh(ctx.hamiltonian(params).toarray())
     result = spectrum(params, ctx.basis.dimension)
     assert np.allclose(np.sort(result.eigenvalues), full, rtol=0, atol=1e-10)
     dims = {sector.label: sector.terms.dimension for sector in ctx.sectors}
@@ -74,7 +74,7 @@ def test_ground_state_positive_omega_is_the_full_minimum():
     for n, kappa, lam in [(5, 0.05, 0.0), (6, 0.3, -0.2), (7, -0.3, 0.0),
                           (8, 0.05, 0.2), (9, 0.05, 0.0)]:
         params = ModelParams(1.0, kappa, lam, n)
-        h = model_context(n).hamiltonian(params).to_dense()
+        h = model_context(n).hamiltonian(params).toarray()
         e0, state = ground_state(params)
         assert e0 == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-10)
         v = state.amplitudes

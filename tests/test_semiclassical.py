@@ -10,17 +10,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-
+from oracles import (canonical_gradient, canonical_hamiltonian,
+                     canonical_velocity, equations_of_motion)
 from triwell.algebra import ModelParams
-from triwell.semiclassical import (BracketingError, ClassicalPoint,
-                                   bifurcation_scan, canonical_gradient,
-                                   canonical_hamiltonian, canonical_velocity,
-                                   classical_hamiltonian, equations_of_motion,
-                                   find_fixed_points, integrate_trajectory,
-                                   level_crossing, linearization,
-                                   theta_min_analysis, twin_critical_points,
-                                   twin_energy_reduced, twin_quadratic_portion,
-                                   w_gradient, w_velocity)
+from triwell.errors import BracketingError
+from triwell.semiclassical import (ClassicalPoint, bifurcation_scan,
+                                   classical_hamiltonian, find_fixed_points,
+                                   integrate_trajectory, level_crossing,
+                                   linearization, theta_min_analysis,
+                                   twin_critical_points, twin_energy_reduced,
+                                   twin_quadratic_portion, w_gradient,
+                                   w_velocity)
 
 PARAMS = ModelParams.from_reduced(-1.0, 2.2, 0.15, 30)
 
@@ -33,7 +33,7 @@ def test_coherent_energy_matches_quantum_expectation():
     params = ModelParams(-1.0, 0.3, 0.1, 9)
     pt = ClassicalPoint(0.7 + 0.4j, -0.2 + 0.9j)
     st = coherent_state(ctx.basis, pt.coherent())
-    quantum = ctx.hamiltonian(params).expectation(st.amplitudes)
+    quantum = oracles.expectation(ctx.hamiltonian(params), st.amplitudes)
     assert classical_hamiltonian(pt, params) == pytest.approx(
         quantum, abs=1e-10)
 
@@ -116,21 +116,40 @@ def test_linearization_matches_symbolic_hessian():
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
-def test_trajectories_and_fixed_points_run_without_sympy():
+def test_trajectories_and_fixed_points_run_without_sympy(tmp_path):
+    """sympy is a test-only dependency: every module imports, and every
+    CLI command runs, with any import of sympy failing."""
     code = (
-        "import sys\n"
+        "import importlib, pkgutil, sys\n"
+        "sys.modules['sympy'] = None\n"
+        "import triwell\n"
+        "for info in pkgutil.iter_modules(triwell.__path__):\n"
+        "    importlib.import_module('triwell.' + info.name)\n"
         "from triwell.algebra import ModelParams\n"
+        "from triwell.cli import main\n"
         "from triwell.semiclassical import (ClassicalPoint, "
         "find_fixed_points, integrate_trajectory)\n"
         "p = ModelParams.from_reduced(-1.0, 3.0, 0.0, 30)\n"
         "integrate_trajectory(ClassicalPoint.from_twin_w(0.3), p, 2.0, 0.5)\n"
         "assert len(find_fixed_points(p, replicate=True)) == 12\n"
-        "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
+        "for argv in sys.argv[2:]:\n"
+        "    assert main(argv.split() + ['--out', sys.argv[1]]) == 0, argv\n")
+    commands = [
+        "spectrum --n 6 --chi 1.0 --k 3",
+        "purity-scan --n 6 --chi-steps 3",
+        "scaling --n 10 12 --window-min 2.0 --window-max 3.2",
+        "fields --n 6 --chi 3.0 --pop-grid 11 --phase-grid 16",
+        "fixed-points --n 10 --chi 3.0 --replicate",
+        "trajectory --n 10 --chi 1.5 --t-max 1.0 --dt 0.5",
+        "theta-min --chi-steps 5",
+    ]
     src = Path(__file__).resolve().parents[1] / "src"
-    result = subprocess.run([sys.executable, "-c", code],
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path),
+                             *commands],
                             env={**os.environ, "PYTHONPATH": str(src)},
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    assert len(list(tmp_path.glob("*.meta.json"))) == len(commands)
 
 
 def test_canonical_gradient_finite_difference():
