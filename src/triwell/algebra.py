@@ -16,7 +16,7 @@ coherent-state purity normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -165,6 +165,16 @@ class HamiltonianTerms:
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=(dim, dim))
 
+    @cached_property
+    def tunneling_collision(self) -> sp.csr_matrix:
+        """T stacked over K, (2D, D), built on first use: one product
+        ``tunneling_collision @ x`` gives T x and K x."""
+        dim, nnz = self.dimension, self.indices.size
+        return sp.csr_matrix(
+            (self.values[:2].ravel(), np.tile(self.indices, 2),
+             np.concatenate([self.indptr, self.indptr[1:] + nnz])),
+            shape=(2 * dim, dim))
+
 
 @dataclass(frozen=True)
 class Sector:
@@ -192,8 +202,12 @@ class ModelContext:
 
     basis: FockBasis
     terms: HamiltonianTerms
-    gens: tuple                     # generators(basis)
     sectors: tuple                  # Sector, in the order A1, A2, E
+
+    @cached_property
+    def gens(self) -> tuple:
+        """``generators(basis)``, built on first use."""
+        return generators(self.basis)
 
     def hamiltonian(self, params: ModelParams) -> sp.csr_matrix:
         if params.n_particles != self.basis.total_particles:
@@ -210,4 +224,4 @@ def model_context(n_particles: int) -> ModelContext:
             *(_project(isometries[0], m) for m in terms)))
         for label, isometries in symmetry_sectors(basis))
     return ModelContext(basis, HamiltonianTerms.from_matrices(*terms),
-                        generators(basis), sectors)
+                        sectors)

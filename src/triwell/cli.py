@@ -25,7 +25,8 @@ import numpy as np
 from . import __version__
 from .algebra import ModelParams
 from .errors import NumericalError
-from .purity import critical_chi_q, map_tasks, power_law_fit, purity_scan
+from .purity import (critical_chi_q, derivative_method, map_tasks,
+                     power_law_fit, purity_route, purity_scan)
 from .semiclassical import (ClassicalPoint, find_fixed_points,
                             integrate_trajectory, theta_min_analysis)
 from .spectral import spectrum
@@ -166,6 +167,7 @@ def cmd_purity_scan(args) -> int:
                        "n_particles": n},
             "chi_grid": {"min": args.chi_min, "max": args.chi_max,
                          "steps": args.chi_steps},
+            "purity_route": purity_route(args.omega, args.mu or 0.0),
             "workers": args.workers,
             "wall_time_s": time.perf_counter() - t0,
         })
@@ -196,6 +198,8 @@ def cmd_scaling(args) -> int:
         "n_values": ns,
         "window": list(window),
         "tolerance": args.tol,
+        "purity_route": purity_route(args.omega, mu),
+        "derivative": derivative_method(args.omega, mu),
         "workers": args.workers,
         "wall_time_s": time.perf_counter() - t0,
     }

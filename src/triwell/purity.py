@@ -4,6 +4,23 @@ The purity of the ground state drops from 1 (coherent, separable) toward 0
 as particle entanglement builds up across the transition; the minimizer of
 dP/dchi defines the scalable quantum critical parameter chi_c^q(N), which
 approaches the semiclassical critical value as a power law in N.
+
+Where Perron-Frobenius puts the ground state in the A1 sector (omega < 0,
+mu = 0) the purity needs only the real A1 block vector v: Q1 and Q2
+transform as E, so their expectations vanish; the J are imaginary
+antisymmetric, so theirs vanish on a real state; and P1, P2, P3 share
+<T>/3, where T = P1 + P2 + P3 is the tunneling term.  Hence
+P = <T>^2 / (4 N^2).  Its chi-derivative is exact first-order perturbation
+theory on the same block: with H = omega T + kappa K and
+kappa = chi omega / (N - 1),
+
+    dP/dchi = <T> / (2 N^2) * d<T>/dchi,
+    d<T>/dchi = -2 omega / (N - 1) * x^T K v,
+
+where x = (H - E0)^+ T v solves the bordered system
+[[H - E0, v], [v^T, 0]] [x; l] = [T v; 0].  Every other (omega, mu) takes
+the eight generator expectations of the ``spectrum`` ground state and a
+centered difference for dP/dchi (``purity_route`` names the route).
 """
 
 from __future__ import annotations
@@ -65,15 +82,74 @@ def generalized_purity(state: QuantumState, gens: tuple,
     return 9.0 / n_particles ** 2 * total
 
 
+def purity_route(omega: float, mu: float) -> str:
+    """"a1_tunneling" where the ground state is provably A1 (omega < 0,
+    mu = 0), else "generators"."""
+    return "a1_tunneling" if omega < 0 and mu == 0 else "generators"
+
+
+def derivative_method(omega: float, mu: float) -> str:
+    """How ``critical_chi_q`` takes dP/dchi of the ground-state purity:
+    "exact" on the A1 route, else "centered_difference"."""
+    return ("exact" if purity_route(omega, mu) == "a1_tunneling"
+            else "centered_difference")
+
+
+def _a1_ground_state(omega: float, n_particles: int, chi: float):
+    """(A1 block terms, params, E0, real block vector v, T v, K v) at
+    mu = 0, solved with the dense/Krylov rule of ``spectral.spectrum``."""
+    from . import spectral
+
+    params = ModelParams.from_reduced(omega, chi, 0.0, n_particles)
+    ctx = model_context(n_particles)
+    a1 = ctx.sectors[0].terms
+    dense = ctx.basis.dimension <= spectral.DENSE_LIMIT
+    block = spectral.eigensolve_lowest(a1, params, 1, dense=dense)
+    v = block.states[0]
+    tv, kv = np.split(a1.tunneling_collision @ v, 2)
+    return a1, params, float(block.eigenvalues[0]), v, tv, kv
+
+
 def ground_state_purity(omega: float, mu: float, n_particles: int,
                         chi: float) -> float:
     """Generalized purity of the ground state at reduced parameters."""
+    if n_particles == 0:
+        raise ValueError("purity is undefined for zero particles")
+    if purity_route(omega, mu) == "a1_tunneling":
+        _, _, _, v, tv, _ = _a1_ground_state(omega, n_particles, chi)
+        t = float(v @ tv)
+        return t * t / (4.0 * n_particles ** 2)
     from .spectral import ground_state
 
     params = ModelParams.from_reduced(omega, chi, mu, n_particles)
     _, state = ground_state(params)
     ctx = model_context(n_particles)
     return generalized_purity(state, ctx.gens, n_particles)
+
+
+def purity_derivative(omega: float, mu: float, n_particles: int,
+                      chi: float) -> float:
+    """Exact dP/dchi of the ground state on the A1 route (omega < 0,
+    mu = 0) for N >= 2; raises ValueError elsewhere."""
+    if purity_route(omega, mu) != "a1_tunneling" or n_particles < 2:
+        raise ValueError("the exact dP/dchi needs omega < 0, mu = 0, N >= 2")
+    a1, params, e0, v, tv, kv = _a1_ground_state(omega, n_particles, chi)
+    x = _bordered_solve(a1.hamiltonian(params).toarray(), e0, v, tv)
+    dt_dchi = -2.0 * omega / (n_particles - 1) * float(x @ kv)
+    return float(v @ tv) / (2.0 * n_particles ** 2) * dt_dchi
+
+
+def _bordered_solve(h: np.ndarray, e0: float, v: np.ndarray,
+                    rhs: np.ndarray) -> np.ndarray:
+    """x with (H - E0) x = rhs - (v.rhs) v and v.x = 0, i.e.
+    x = (H - E0)^+ rhs for the nondegenerate eigenpair (E0, v)."""
+    dim = v.size
+    a = np.zeros((dim + 1, dim + 1))
+    a[:dim, :dim] = h
+    a[np.arange(dim), np.arange(dim)] -= e0
+    a[:dim, dim] = v
+    a[dim, :dim] = v
+    return np.linalg.solve(a, np.append(rhs, 0.0))[:dim]
 
 
 def _scan_point(args):
@@ -104,29 +180,39 @@ def purity_scan(omega: float, mu: float, n_particles: int, chi_grid,
     return PurityScan(grid, purity, derivative, omega, mu, n_particles)
 
 
+# Half-width of the centered difference for dP/dchi off the A1 route.
+_STEP = 0.005
+
+
 def critical_chi_q(omega: float, mu: float, n_particles: int,
-                   window: tuple, tol: float = 1e-3, step: float = 0.005,
+                   window: tuple, tol: float = 1e-3,
                    purity_fn=None) -> float:
     """Minimizer of dP/dchi inside the window, refined to the tolerance.
 
-    The derivative is a centered finite difference with half-width ``step``;
-    a coarse grid locates the minimum and golden-section search refines it.
-    ``purity_fn`` (chi -> purity) may replace the ground-state purity, e.g.
-    for synthetic-oracle tests.
+    A coarse grid locates the minimum and golden-section search refines it.
+    On the A1 route (``derivative_method`` "exact") dP/dchi is
+    ``purity_derivative``; otherwise, and whenever ``purity_fn``
+    (chi -> purity, e.g. a synthetic oracle) replaces the ground-state
+    purity, it is a centered difference of half-width 0.005.
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError("window must satisfy lo < hi")
-    if purity_fn is None:
-        cache = {}
+    if purity_fn is None and derivative_method(omega, mu) == "exact":
+        def deriv(chi):
+            return purity_derivative(omega, mu, n_particles, chi)
+    else:
+        if purity_fn is None:
+            cache = {}
 
-        def purity_fn(chi, _c=cache):
-            if chi not in _c:
-                _c[chi] = ground_state_purity(omega, mu, n_particles, chi)
-            return _c[chi]
+            def purity_fn(chi, _c=cache):
+                if chi not in _c:
+                    _c[chi] = ground_state_purity(omega, mu, n_particles, chi)
+                return _c[chi]
 
-    def deriv(chi):
-        return (purity_fn(chi + step) - purity_fn(chi - step)) / (2.0 * step)
+        def deriv(chi):
+            return ((purity_fn(chi + _STEP) - purity_fn(chi - _STEP))
+                    / (2.0 * _STEP))
 
     coarse = np.linspace(lo, hi, 25)
     values = np.array([deriv(c) for c in coarse])

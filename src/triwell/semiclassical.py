@@ -65,10 +65,6 @@ class ClassicalPoint:
         return 2.0 * math.atan(abs(self.tau))
 
     @property
-    def phi(self) -> float:
-        return float(-np.angle(self.tau)) if self.tau != 0 else 0.0
-
-    @property
     def i_z(self) -> float:
         """Population balance (4 I1 - N)/N on the twin sphere."""
         a2 = abs(self.w1) ** 2

@@ -73,7 +73,7 @@ def test_criterion_04_noninteracting_ground_state(capsys):
 
 def _chi_task(n):
     window = (2.0, 2.6) if n >= 20 else (2.0, 3.2)
-    return n, critical_chi_q(-1.0, 0.0, n, window, tol=1e-3, step=0.005)
+    return n, critical_chi_q(-1.0, 0.0, n, window, tol=1e-3)
 
 
 def test_criterion_05_finite_size_scaling(capsys):

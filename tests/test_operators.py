@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import (expectation, hamiltonian_direct, hamiltonian_generators,
-                     verify_equivalence)
+from oracles import (ModelConsistencyError, expectation, hamiltonian_direct,
+                     hamiltonian_generators, verify_equivalence)
 from triwell.algebra import (ModelParams, generators, hamiltonian_terms,
                              model_context, partner_mode)
 from triwell.fock import build_basis
@@ -97,6 +97,16 @@ def test_verify_equivalence_detects_corruption():
     assert off > 1e-3  # the corrupted difference is visibly non-identity
 
 
+def test_verify_equivalence_raises_on_corrupt_input():
+    """Parameters whose particle number disagrees with the basis break the
+    identity-shift relation (the cross-collision term depends on N), and
+    ``verify_equivalence`` must refuse them."""
+    basis = build_basis(3)
+    verify_equivalence(basis, ModelParams(-1.0, 0.5, 0.2, 3))
+    with pytest.raises(ModelConsistencyError):
+        verify_equivalence(basis, ModelParams(-1.0, 0.5, 0.2, 5))
+
+
 def test_reduced_parameter_roundtrip():
     params = ModelParams.from_reduced(-1.0, 2.0, 0.5, 30)
     assert params.chi == pytest.approx(2.0)
@@ -126,3 +136,13 @@ def test_model_context_cache_and_hamiltonian():
     h_ctx = ctx1.hamiltonian(params)
     h_dir = hamiltonian_direct(ctx1.basis, params)
     assert abs(h_ctx - h_dir).max() < 1e-13
+
+
+def test_tunneling_collision_stacks_t_over_k():
+    ctx = model_context(5)
+    T, K, _ = hamiltonian_terms(ctx.basis)
+    x = np.random.default_rng(3).standard_normal(ctx.basis.dimension)
+    stacked = ctx.terms.tunneling_collision @ x
+    assert np.allclose(stacked, np.concatenate([T @ x, K @ x]),
+                       rtol=0.0, atol=1e-12)
+    assert ctx.terms.tunneling_collision is ctx.terms.tunneling_collision

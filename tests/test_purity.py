@@ -2,11 +2,21 @@ import numpy as np
 import pytest
 
 from oracles import algebra_purity_constant, algebra_reduced_purity
-from triwell.algebra import model_context
+from triwell import purity, spectral
+from triwell.algebra import ModelParams, model_context
 from triwell.coherent import CoherentPoint, QuantumState, coherent_state
 from triwell.errors import BracketingError
 from triwell.purity import (critical_chi_q, generalized_purity,
-                            ground_state_purity, power_law_fit, purity_scan)
+                            derivative_method, ground_state_purity,
+                            power_law_fit, purity_derivative, purity_route,
+                            purity_scan)
+from triwell.spectral import ground_state
+
+
+def generator_purity(omega, mu, n, chi):
+    """The eight generator expectations on the ``spectrum`` ground state."""
+    _, state = ground_state(ModelParams.from_reduced(omega, chi, mu, n))
+    return generalized_purity(state, model_context(n).gens, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 25])
@@ -69,6 +79,65 @@ def test_purity_scan_grid_and_derivative():
     assert scan.derivative[1] == pytest.approx(expected)
     with pytest.raises(ValueError):
         purity_scan(-1.0, 0.0, 8, grid[::-1])
+
+
+@pytest.mark.parametrize("n", [10, 30, 60])
+def test_a1_tunneling_purity_matches_generators(n):
+    """P = <T>^2 / (4 N^2) on the A1 block equals the generator purity of
+    the full ground state, also at N = 60, chi = 3, where the A1-E gap is
+    about 1e-13."""
+    assert purity_route(-1.0, 0.0) == "a1_tunneling"
+    assert derivative_method(-1.0, 0.0) == "exact"
+    for chi in (0.0, 1.0, 2.2, 3.0):
+        assert abs(ground_state_purity(-1.0, 0.0, n, chi)
+                   - generator_purity(-1.0, 0.0, n, chi)) <= 1e-14
+
+
+def test_a1_route_takes_no_generator_expectations(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("generator route taken")
+
+    monkeypatch.setattr(purity, "generalized_purity", refuse)
+    assert 0.0 < ground_state_purity(-1.0, 0.0, 12, 2.2) < 1.0
+    critical_chi_q(-1.0, 0.0, 10, (2.0, 3.2))
+
+
+@pytest.mark.parametrize("n, chis", [(10, (2.0, 2.2, 2.4)),
+                                     (25, (2.0, 2.2, 2.4)),
+                                     (60, (2.2, 2.4))])
+def test_exact_derivative_matches_centered_difference(n, chis):
+    h = 1e-4
+    for chi in chis:
+        centered = (generator_purity(-1.0, 0.0, n, chi + h)
+                    - generator_purity(-1.0, 0.0, n, chi - h)) / (2.0 * h)
+        assert abs(purity_derivative(-1.0, 0.0, n, chi) - centered) <= 1e-6
+
+
+def test_exact_derivative_krylov_route(monkeypatch):
+    """Above DENSE_LIMIT the A1 block is solved by Krylov; the derivative
+    matches the one from the dense eigensolve."""
+    dense = [purity_derivative(-1.0, 0.0, 25, chi) for chi in (2.0, 2.3)]
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+    krylov = [purity_derivative(-1.0, 0.0, 25, chi) for chi in (2.0, 2.3)]
+    assert krylov == pytest.approx(dense, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("omega, mu, n, chi", [(1.0, 0.0, 31, 0.5),
+                                               (-1.0, 0.3, 12, 2.2)])
+def test_generator_route_off_a1(omega, mu, n, chi):
+    """Where A1 is not proven (omega > 0: an E-doublet ground level at
+    N = 31; mu != 0) the purity is still today's generator route."""
+    assert purity_route(omega, mu) == "generators"
+    assert derivative_method(omega, mu) == "centered_difference"
+    assert ground_state_purity(omega, mu, n, chi) == \
+        generator_purity(omega, mu, n, chi)
+    with pytest.raises(ValueError):
+        purity_derivative(omega, mu, n, chi)
+
+
+def test_exact_derivative_needs_two_particles():
+    with pytest.raises(ValueError):
+        purity_derivative(-1.0, 0.0, 1, 0.0)
 
 
 def test_critical_chi_synthetic_oracle():
