@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock import FockBasis
 
@@ -59,12 +58,10 @@ class QuantumState:
         if self.amplitudes.shape != (self.basis.dimension,):
             raise ValueError("amplitude vector does not match basis dimension")
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def log_multinomial(n: int, occ: np.ndarray) -> np.ndarray:
     """ln( N! / (n1! n2! n3!) ) per basis state, via log-gamma."""
+    from scipy.special import gammaln
     return gammaln(n + 1.0) - np.sum(gammaln(occ + 1.0), axis=1)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .coherent import QuantumState, log_multinomial
 
@@ -147,6 +146,7 @@ def count_local_maxima(field: ScalarField2D, rel_threshold: float) -> int:
     peak = field.max_value()
     if peak <= 0.0:
         return 0
+    from scipy import ndimage
     local_max = ndimage.maximum_filter(vals, size=3, mode="constant",
                                        cval=-np.inf)
     candidates = (vals == local_max) & field.mask & (vals > rel_threshold * peak)

@@ -39,13 +39,6 @@ class FockBasis:
     def dimension(self) -> int:
         return self.states.shape[0]
 
-    def index_of(self, occupations) -> int:
-        n1, n2, n3 = (int(n) for n in occupations)
-        if min(n1, n2, n3) < 0 or n1 + n2 + n3 != self.total_particles:
-            raise KeyError(f"{(n1, n2, n3)} is not an N = "
-                           f"{self.total_particles} occupation triple")
-        return int(lex_rank(self.total_particles, n1, n2))
-
 
 def build_basis(n_particles: int) -> FockBasis:
     """Enumerate the N-boson sector; dimension is (N+1)(N+2)/2."""

@@ -29,8 +29,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.stats import linregress
 
 from .algebra import ModelParams, model_context
 from .coherent import QuantumState
@@ -189,11 +187,13 @@ def critical_chi_q(omega: float, mu: float, n_particles: int,
                    purity_fn=None) -> float:
     """Minimizer of dP/dchi inside the window, refined to the tolerance.
 
-    A coarse grid locates the minimum and golden-section search refines it.
-    On the A1 route (``derivative_method`` "exact") dP/dchi is
-    ``purity_derivative``; otherwise, and whenever ``purity_fn``
-    (chi -> purity, e.g. a synthetic oracle) replaces the ground-state
-    purity, it is a centered difference of half-width 0.005.
+    A coarse grid of 25 points locates the minimum and golden-section
+    search refines it; BracketingError if the coarse minimum is on the
+    window's edge or ties a neighbour.  On the A1 route
+    (``derivative_method`` "exact") dP/dchi is ``purity_derivative``;
+    otherwise, and whenever ``purity_fn`` (chi -> purity, e.g. a
+    synthetic oracle) replaces the ground-state purity, it is a centered
+    difference of half-width 0.005.
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
@@ -220,30 +220,72 @@ def critical_chi_q(omega: float, mu: float, n_particles: int,
     if imin in (0, len(coarse) - 1):
         raise BracketingError(
             f"dP/dchi minimum sits on the window boundary at chi={coarse[imin]:g}")
-    bracket = (coarse[imin - 1], coarse[imin], coarse[imin + 1])
-    res = minimize_scalar(deriv, bracket=bracket, method="golden",
-                          options={"xtol": tol})
-    return float(res.x)
+    return _golden(deriv, coarse[imin - 1:imin + 2], values[imin - 1:imin + 2],
+                   tol)
+
+
+# Golden-ratio conjugate as scipy's golden-section search rounds it.
+_GR = 0.61803399
+
+
+def _golden(f, xs, fs, tol: float) -> float:
+    """Golden-section minimizer of f on the bracket xs = (xa, xb, xc) with
+    known values fs, step for step as scipy's
+    ``minimize_scalar(method="golden", options={"xtol": tol})`` but
+    without evaluating f again at the bracket points."""
+    (xa, xb, xc), (fa, fb, fc) = xs, fs
+    if not (fb < fa and fb < fc):
+        raise BracketingError(
+            f"no strict dP/dchi minimum at chi={xb:g}: {fa:g}, {fb:g}, {fc:g}")
+    gc = 1.0 - _GR
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, f1 = xb, fb
+        x2 = xb + gc * (xc - xb)
+        f2 = f(x2)
+    else:
+        x2, f2 = xb, fb
+        x1 = xb - gc * (xb - xa)
+        f1 = f(x1)
+    for _ in range(5000):                     # scipy's maxiter
+        if abs(x3 - x0) <= tol * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, f1 = x1, x2, f2
+            x2 = _GR * x1 + gc * x3
+            f2 = f(x2)
+        else:
+            x3, x2, f2 = x2, x1, f1
+            x1 = _GR * x2 + gc * x0
+            f1 = f(x1)
+    return float(x1 if f1 < f2 else x2)
 
 
 def power_law_fit(n_values, chi_cq_values, chi_c: float) -> ScalingFit:
-    """Least-squares line on (ln N, ln(chi_c^q - chi_c))."""
+    """Least-squares line on (ln N, ln(chi_c^q - chi_c)), with the
+    standard errors of ``scipy.stats.linregress``."""
     ns = np.asarray(n_values, dtype=float)
     cq = np.asarray(chi_cq_values, dtype=float)
     if ns.size != cq.size or ns.size < 3:
         raise ValueError("need at least 3 (N, chi_c^q) pairs")
+    if np.all(ns == ns[0]):
+        raise ValueError("need at least 2 distinct N for the log fit")
     excess = cq - chi_c
     if np.any(excess <= 0):
         raise ValueError("all chi_c^q must exceed chi_c for the log fit")
     x, y = np.log(ns), np.log(excess)
-    fit = linregress(x, y)
-    residuals = y - (fit.intercept + fit.slope * x)
+    sxx, sxy, _, syy = np.cov(x, y, bias=1).flat
+    r = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)
+    slope = sxy / sxx
+    intercept = np.mean(y) - slope * np.mean(x)
+    slope_stderr = np.sqrt((1 - r ** 2) * syy / sxx / (ns.size - 2))
     return ScalingFit(
         n_values=ns.astype(int),
         chi_cq=cq,
-        ln_prefactor=float(fit.intercept),
-        ln_prefactor_stderr=float(fit.intercept_stderr),
-        exponent=float(fit.slope),
-        exponent_stderr=float(fit.stderr),
-        residuals=residuals,
+        ln_prefactor=float(intercept),
+        ln_prefactor_stderr=float(
+            slope_stderr * np.sqrt(sxx + np.mean(x) ** 2)),
+        exponent=float(slope),
+        exponent_stderr=float(slope_stderr),
+        residuals=y - (intercept + slope * x),
     )

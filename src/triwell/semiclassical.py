@@ -20,8 +20,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .algebra import ModelParams
 from .coherent import CoherentPoint
@@ -194,11 +192,6 @@ def w_gradient(w: np.ndarray, params: ModelParams) -> np.ndarray:
     return np.array(_gradient(complex(w[0]), complex(w[1]), params))
 
 
-def w_velocity(point: ClassicalPoint, params: ModelParams) -> np.ndarray:
-    """dw/dt = -i g^{-1} dH/d(conj w) on the w-chart."""
-    return np.array(_velocity(complex(point.w1), complex(point.w2), params))
-
-
 # ---------------------------------------------------------------------------
 # Canonical chart
 # ---------------------------------------------------------------------------
@@ -255,6 +248,13 @@ def _classify_stability(eigenvalues: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 # Trajectories
 # ---------------------------------------------------------------------------
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on first use so that only
+    trajectory runs load scipy.integrate."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
+
 
 def _rhs(_t, y, params):
     x1, y1, x2, y2 = y.tolist()
@@ -461,6 +461,7 @@ def level_crossing(mu: float, chi_search: tuple = (1.0, 4.0),
     if energy_gap(lo) * energy_gap(hi) > 0:
         raise BracketingError(
             f"no 1+/4+ crossing between chi={lo:g} and chi={hi:g}")
+    from scipy.optimize import brentq
     return float(brentq(energy_gap, lo, hi, xtol=tol))
 
 

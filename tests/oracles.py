@@ -11,7 +11,8 @@ from triwell.algebra import (ModelParams, generators, hamiltonian_terms,
                              model_context)
 from triwell.coherent import (CoherentPoint, QuantumState, coherent_state,
                               log_multinomial)
-from triwell.fock import FockBasis, build_basis, check_hermitian, hop_operator
+from triwell.fock import (FockBasis, build_basis, check_hermitian, hop_operator,
+                         lex_rank)
 from triwell.purity import generalized_purity
 from triwell.semiclassical import ClassicalPoint
 
@@ -22,6 +23,16 @@ class ModelConsistencyError(RuntimeError):
 
 class ConsistencyError(RuntimeError):
     """Internal cross-check between two purity routes failed."""
+
+
+def index_of(basis: FockBasis, occupations) -> int:
+    """Position of an occupation triple in the basis; KeyError if it is
+    not an N-particle triple."""
+    n1, n2, n3 = (int(n) for n in occupations)
+    if min(n1, n2, n3) < 0 or n1 + n2 + n3 != basis.total_particles:
+        raise KeyError(f"{(n1, n2, n3)} is not an N = "
+                       f"{basis.total_particles} occupation triple")
+    return int(lex_rank(basis.total_particles, n1, n2))
 
 
 def expectation(op, v) -> float:
@@ -100,7 +111,7 @@ def product_form_check(basis: FockBasis, point: CoherentPoint) -> float:
             for mode in range(3):
                 target = occ.copy()
                 target[mode] += 1
-                out[next_basis.index_of(target)] += (
+                out[index_of(next_basis, target)] += (
                     coeff[mode] * np.sqrt(target[mode]) * vec[idx])
         current_basis, vec = next_basis, out
     vec /= np.sqrt(np.exp(gammaln(n + 1.0)))  # divide by sqrt(N!)

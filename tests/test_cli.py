@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +47,37 @@ def test_write_csv_bytes(tmp_path):
     assert read(path) == "a,b\n"
     with pytest.raises(ValueError):
         write_csv(path, ["a", "b"], [np.zeros(2), [1]])
+
+
+# scipy submodules that only some commands need, loaded where they are used;
+# the first three are never needed by ``scaling`` or ``purity-scan``.
+_ON_DEMAND = ("scipy.stats", "scipy.optimize", "scipy.integrate",
+              "scipy.ndimage", "scipy.special")
+
+
+def test_start_up_loads_no_on_demand_scipy_submodule(tmp_path):
+    """``import triwell`` loads none of the on-demand submodules, and the
+    purity commands run without scipy.stats, scipy.optimize or
+    scipy.integrate (a fresh interpreter, so nothing is loaded before)."""
+    code = (
+        "import sys\n"
+        "import triwell, triwell.cli\n"
+        "names = sys.argv[2].split(',')\n"
+        "found = [m for m in names if m in sys.modules]\n"
+        "assert not found, f'on import: {found}'\n"
+        "for argv in sys.argv[3:]:\n"
+        "    assert triwell.cli.main(argv.split() + ['--out', sys.argv[1]]) "
+        "== 0, argv\n"
+        "found = [m for m in names[:3] if m in sys.modules]\n"
+        "assert not found, f'after the commands: {found}'\n")
+    commands = ["scaling --n 10 12 14 --window-min 2.0 --window-max 3.2",
+                "purity-scan --n 6 --chi-steps 3"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path),
+                             ",".join(_ON_DEMAND), *commands],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_spectrum_outputs_and_metadata(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (ModelConsistencyError, expectation, hamiltonian_direct,
-                     hamiltonian_generators, verify_equivalence)
+                     hamiltonian_generators, index_of, verify_equivalence)
 from triwell.algebra import (ModelParams, generators, hamiltonian_terms,
                              model_context, partner_mode)
 from triwell.fock import build_basis
@@ -26,7 +26,7 @@ def test_generator_expectations_on_fock_state():
     basis = build_basis(3)
     q1, q2, *hops = generators(basis)
     v = np.zeros(basis.dimension)
-    v[basis.index_of((2, 1, 0))] = 1.0
+    v[index_of(basis, (2, 1, 0))] = 1.0
     assert expectation(q1, v) == pytest.approx(0.5)       # (n1 - n2)/2
     assert expectation(q2, v) == pytest.approx(1.0)       # (n1 + n2 - 2 n3)/3
     for g in hops:                                        # P1..P3, J1..J3
@@ -53,10 +53,10 @@ def test_hamiltonian_term_structure():
     assert np.allclose(np.diag(K.toarray()),
                        np.sum(n * (n - 1.0), axis=1))
     # T is the total hop sum, so acting on (3,0,0) it reaches (2,1,0), (2,0,1)
-    col = basis.index_of((3, 0, 0))
+    col = index_of(basis, (3, 0, 0))
     dense_t = T.toarray()
     nz = np.nonzero(dense_t[:, col])[0]
-    assert set(nz) == {basis.index_of((2, 1, 0)), basis.index_of((2, 0, 1))}
+    assert set(nz) == {index_of(basis, (2, 1, 0)), index_of(basis, (2, 0, 1))}
     assert V.shape == T.shape
 
 

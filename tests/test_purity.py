@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
+from scipy.stats import linregress
 
-from oracles import algebra_purity_constant, algebra_reduced_purity
+import oracles
+from oracles import (ConsistencyError, algebra_purity_constant,
+                     algebra_reduced_purity, orthonormal_generator_basis)
 from triwell import purity, spectral
 from triwell.algebra import ModelParams, model_context
 from triwell.coherent import CoherentPoint, QuantumState, coherent_state
@@ -62,6 +68,27 @@ def test_algebra_reduced_route_proportional():
         assert k == pytest.approx(k_const, rel=1e-8)
         assert k_const * s == pytest.approx(
             generalized_purity(st, ctx.gens, n), rel=1e-10)
+
+
+def test_generator_gram_must_be_positive_definite():
+    """At N = 0 every generator is the zero matrix, so the Gram matrix is
+    singular and the orthonormalization must refuse it."""
+    ctx = model_context(0)
+    with pytest.raises(ConsistencyError):
+        orthonormal_generator_basis(ctx.basis, ctx.gens)
+
+
+def test_purity_constant_detects_state_dependence(monkeypatch):
+    """A purity with a state-dependent extra term breaks the proportionality
+    to the algebra-reduced purity, and the constant check must say so."""
+    true_purity = oracles.generalized_purity
+
+    def skewed(state, gens, n):
+        return true_purity(state, gens, n) + abs(state.amplitudes[0]) ** 2
+
+    monkeypatch.setattr(oracles, "generalized_purity", skewed)
+    with pytest.raises(ConsistencyError):
+        algebra_purity_constant(3, n_states=6, seed=5)
 
 
 def test_ground_state_purity_monotone_trend():
@@ -160,6 +187,51 @@ def test_critical_chi_boundary_detection():
         critical_chi_q(-1.0, 0.0, 10, (0.0, 1.0), purity_fn=fake_purity)
 
 
+def test_critical_chi_tied_coarse_minimum():
+    """A coarse minimum that ties its neighbour brackets nothing: that is a
+    numerical failure (BracketingError), not a usage error."""
+    def steps(chi):
+        return -min(max(math.floor(chi), 10), 12)
+
+    with pytest.raises(BracketingError):
+        critical_chi_q(-1.0, 0.0, 30, (0.0, 24.0), purity_fn=steps)
+
+
+@pytest.mark.parametrize("f, xs, tol", [
+    (lambda x: (x - 2.31) ** 2, (2.0, 2.25, 2.5), 1e-3),
+    (lambda x: (x - 2.31) ** 2, (2.0, 2.4, 2.5), 1e-6),
+    (lambda x: np.cosh(3.0 * (x + 0.7)), (-1.5, -1.0, 0.0), 1e-8),
+    (lambda x: -np.exp(-(x - 40.0) ** 2 / 7.0), (35.0, 41.0, 42.0), 1e-5),
+    (lambda x: abs(x - 0.123), (0.0, 0.05, 1.0), 0.0),
+], ids=["parabola-left", "parabola-right", "cosh", "well", "kink-tol0"])
+def test_golden_matches_scipy_bit_for_bit(f, xs, tol):
+    ref = minimize_scalar(f, bracket=xs, method="golden",
+                          options={"xtol": tol})
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    found = purity._golden(counted, np.array(xs), [f(x) for x in xs], tol)
+    assert found == float(ref.x)
+    assert len(calls) == ref.nfev - 4
+
+
+def test_power_law_fit_matches_linregress():
+    rng = np.random.default_rng(11)
+    for size in (3, 4, 9):
+        ns = np.sort(rng.choice(np.arange(8, 200), size, replace=False))
+        cq = 2.0 + rng.uniform(0.5, 2.0) * ns ** rng.uniform(-1.5, -0.5) \
+            * np.exp(rng.normal(scale=0.05, size=size))
+        fit = power_law_fit(ns, cq, 2.0)
+        ref = linregress(np.log(ns.astype(float)), np.log(cq - 2.0))
+        assert fit.exponent == ref.slope
+        assert fit.ln_prefactor == ref.intercept
+        assert fit.exponent_stderr == ref.stderr
+        assert fit.ln_prefactor_stderr == ref.intercept_stderr
+
+
 def test_power_law_fit_exact_recovery():
     ns = np.array([10, 20, 40, 80])
     chi_c = 2.0
@@ -175,3 +247,5 @@ def test_power_law_fit_input_guards():
         power_law_fit([10, 20], [2.1, 2.05], 2.0)
     with pytest.raises(ValueError):
         power_law_fit([10, 20, 40], [2.1, 2.0, 1.9], 2.0)
+    with pytest.raises(ValueError):
+        power_law_fit([10, 10, 10], [2.1, 2.05, 2.02], 2.0)

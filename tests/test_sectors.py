@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import index_of
 from triwell.algebra import ModelParams, model_context
 from triwell.fock import build_basis, symmetry_sectors
 from triwell.purity import generalized_purity
@@ -16,7 +17,7 @@ SWAP_23 = (0, 2, 1)         # (n1, n2, n3) -> (n1, n3, n2)
 
 def mode_map(basis, perm):
     """Index i -> index of the state with occupations states[i][perm]."""
-    return np.array([basis.index_of(occ[list(perm)]) for occ in basis.states])
+    return np.array([index_of(basis, occ[list(perm)]) for occ in basis.states])
 
 
 @pytest.mark.parametrize("n", range(13))

@@ -14,15 +14,19 @@ from oracles import (canonical_gradient, canonical_hamiltonian,
                      canonical_velocity, equations_of_motion)
 from triwell.algebra import ModelParams
 from triwell.errors import BracketingError
-from triwell.semiclassical import (ClassicalPoint, bifurcation_scan,
+from triwell.semiclassical import (ClassicalPoint, _velocity, bifurcation_scan,
                                    classical_hamiltonian, find_fixed_points,
                                    integrate_trajectory, level_crossing,
                                    linearization, theta_min_analysis,
                                    twin_critical_points, twin_energy_reduced,
-                                   twin_quadratic_portion, w_gradient,
-                                   w_velocity)
+                                   twin_quadratic_portion, w_gradient)
 
 PARAMS = ModelParams.from_reduced(-1.0, 2.2, 0.15, 30)
+
+
+def w_velocity(point, params):
+    """The integrator's closed-form dw/dt at a point, as an array."""
+    return np.array(_velocity(complex(point.w1), complex(point.w2), params))
 
 
 def test_coherent_energy_matches_quantum_expectation():

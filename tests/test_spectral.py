@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import expectation
+from oracles import expectation, index_of
 from triwell.algebra import ModelParams, model_context
 from triwell.coherent import CoherentPoint, coherent_state
 from triwell.spectral import (degenerate_clusters, eigensolve_lowest,
@@ -46,7 +46,7 @@ def test_mode_exchange_symmetry():
     ctx = model_context(7)
     h = ctx.hamiltonian(params).toarray()
     basis = ctx.basis
-    perm = np.array([basis.index_of((n2, n1, n3))
+    perm = np.array([index_of(basis, (n2, n1, n3))
                      for (n1, n2, n3) in basis.states])
     swapped = h[np.ix_(perm, perm)]
     assert np.allclose(np.linalg.eigvalsh(h), np.linalg.eigvalsh(swapped),
