@@ -14,6 +14,7 @@ exception propagates.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -252,6 +253,10 @@ def cmd_fields(args) -> int:
 
 
 def cmd_fixed_points(args) -> int:
+    if args.chi_scan is not None and (args.kappa is not None
+                                      or args.lam is not None):
+        raise UsageError("--chi-scan reads --mu only; it does not take "
+                         "--kappa or --lam")
     n = _single_n(args)
     params = resolve_params(args, n)
     t0 = time.perf_counter()
@@ -336,7 +341,7 @@ def cmd_theta_min(args) -> int:
     t0 = time.perf_counter()
     rows = theta_min_analysis(grid, mu=mu, omega=args.omega)
     out = _outdir(args)
-    n_ref = args.n[0] if args.n else 30
+    n_ref = _single_n(args)
     write_csv(out / "theta_min.csv",
               ["chi", "kappa", "theta_min", "h_min_per_particle", "dh_dchi",
                "d2h_dchi2", "h1_at_min", "first_order_residual",
@@ -367,19 +372,22 @@ def _parse_init(text: str):
     return float(parts[0]), float(parts[1])
 
 
-def _add_common(sub, overrides: dict | None):
+def _add_common(sub, overrides: dict | None, couplings: bool = False):
+    """Shared options, then the ``--config`` defaults; ``couplings`` adds
+    the --chi, --kappa and --lam of the commands that call resolve_params."""
     sub.add_argument("--n", type=int, nargs="+", default=[30],
                      help="total particle number(s)")
     sub.add_argument("--omega", type=float, default=-1.0,
                      help="tunneling rate (default -1)")
-    sub.add_argument("--chi", type=float, default=None,
-                     help="reduced self-collision parameter")
     sub.add_argument("--mu", type=float, default=None,
                      help="reduced cross-collision parameter")
-    sub.add_argument("--kappa", type=float, default=None,
-                     help="raw self-collision coupling")
-    sub.add_argument("--lam", type=float, default=None,
-                     help="raw cross-collision coupling")
+    if couplings:
+        sub.add_argument("--chi", type=float, default=None,
+                         help="reduced self-collision parameter")
+        sub.add_argument("--kappa", type=float, default=None,
+                         help="raw self-collision coupling")
+        sub.add_argument("--lam", type=float, default=None,
+                         help="raw cross-collision coupling")
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument("--workers", type=int, default=1,
                      help="worker-pool size for scans")
@@ -396,20 +404,23 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
         prog="triwell",
         description="Triple-well condensate simulation engine")
     subs = parser.add_subparsers(dest="command", required=True)
+    # No abbreviations: an option a command lacks must not be read as a
+    # prefix of one it has (scaling's --chi-c for --chi).
+    command = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    p = subs.add_parser("spectrum", help="low-lying eigenvalues")
+    p = command("spectrum", help="low-lying eigenvalues")
     p.add_argument("--k", type=int, default=4, help="number of eigenpairs")
-    _add_common(p, overrides)
+    _add_common(p, overrides, couplings=True)
     p.set_defaults(func=cmd_spectrum)
 
-    p = subs.add_parser("purity-scan", help="ground-state purity vs chi")
+    p = command("purity-scan", help="ground-state purity vs chi")
     p.add_argument("--chi-min", type=float, default=0.0)
     p.add_argument("--chi-max", type=float, default=3.0)
     p.add_argument("--chi-steps", type=int, default=61)
     _add_common(p, overrides)
     p.set_defaults(func=cmd_purity_scan)
 
-    p = subs.add_parser("scaling", help="chi_c^q(N) and power-law fit")
+    p = command("scaling", help="chi_c^q(N) and power-law fit")
     p.add_argument("--window-min", type=float, default=2.0)
     p.add_argument("--window-max", type=float, default=2.6)
     p.add_argument("--tol", type=float, default=1e-3)
@@ -418,31 +429,31 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
     _add_common(p, overrides)
     p.set_defaults(func=cmd_scaling)
 
-    p = subs.add_parser("fields", help="Husimi and phase distributions")
+    p = command("fields", help="Husimi and phase distributions")
     p.add_argument("--pop-grid", type=int, default=101)
     p.add_argument("--phase-grid", type=int, default=256)
-    _add_common(p, overrides)
+    _add_common(p, overrides, couplings=True)
     p.set_defaults(func=cmd_fields)
 
-    p = subs.add_parser("fixed-points", help="classical equilibria table")
+    p = command("fixed-points", help="classical equilibria table")
     p.add_argument("--replicate", action="store_true",
                    help="emit the equivalent twin sectors too")
     p.add_argument("--chi-scan", type=float, nargs=3, default=None,
                    metavar=("LO", "HI", "STEPS"),
                    help="also scan branch energies over chi")
-    _add_common(p, overrides)
+    _add_common(p, overrides, couplings=True)
     p.set_defaults(func=cmd_fixed_points)
 
-    p = subs.add_parser("trajectory", help="semiclassical trajectories")
+    p = command("trajectory", help="semiclassical trajectories")
     p.add_argument("--init", type=_parse_init, action="append", default=None,
                    metavar="THETA,PHI",
                    help="twin-sector initial condition (repeatable)")
     p.add_argument("--t-max", type=float, default=100.0)
     p.add_argument("--dt", type=float, default=0.05)
-    _add_common(p, overrides)
+    _add_common(p, overrides, couplings=True)
     p.set_defaults(func=cmd_trajectory)
 
-    p = subs.add_parser("theta-min", help="twin-manifold minimum analysis")
+    p = command("theta-min", help="twin-manifold minimum analysis")
     p.add_argument("--chi-min", type=float, default=0.0)
     p.add_argument("--chi-max", type=float, default=4.0)
     p.add_argument("--chi-steps", type=int, default=81)

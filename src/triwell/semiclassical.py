@@ -5,77 +5,31 @@ trajectory integration, twin-sector fixed points with stability, the
 saddle-node bifurcation chi_plus, the level-crossing transition chi_c, and
 the theta_min / H_min first-order analysis.
 
-Trajectories are integrated in the w-chart, which is free of coordinate
-singularities at empty wells or equal phases; the canonical chart
-(I1, I2, phi1, phi2) is a post-processing conversion.  The w-chart flow,
-the energy samples and the canonical Hessian behind the fixed-point
-stability are closed forms in numpy.
+Points are ``coherent.ClassicalPoint``, the coherent-state label (w1, w2),
+imported here under the same name.  Trajectories are integrated in the
+w-chart, which is free of coordinate singularities at empty wells or
+equal phases; the canonical chart (I1, I2, phi1, phi2) is a
+post-processing conversion.  The w-chart flow, the energy samples and the
+canonical Hessian behind the fixed-point stability are closed forms in
+numpy.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from .algebra import ModelParams
-from .coherent import CoherentPoint
+from .coherent import ClassicalPoint
 from .errors import BracketingError, IntegrationError
 
 _STABLE = "stable-center"
 _UNSTABLE = "unstable"
 
 _STABILITY_REL = 1e-8
-
-
-@dataclass(frozen=True)
-class ClassicalPoint:
-    """Phase-space point (w1, w2), with twin-sector angle accessors."""
-
-    w1: complex
-    w2: complex
-
-    @classmethod
-    def from_twin_w(cls, w) -> "ClassicalPoint":
-        return cls(complex(w), complex(w))
-
-    @classmethod
-    def from_twin_angles(cls, theta: float, phi: float) -> "ClassicalPoint":
-        """Twin sphere chart tau = sqrt(2) w = tan(theta/2) e^{-i phi}."""
-        tau = math.tan(theta / 2.0) * np.exp(-1j * phi)
-        w = tau / math.sqrt(2.0)
-        return cls(complex(w), complex(w))
-
-    @classmethod
-    def from_canonical(cls, i1, i2, phi1, phi2, n_particles) -> "ClassicalPoint":
-        p = CoherentPoint.from_canonical(i1, i2, phi1, phi2, n_particles)
-        return cls(p.w1, p.w2)
-
-    @property
-    def tau(self) -> complex:
-        return math.sqrt(2.0) * self.w1
-
-    @property
-    def theta(self) -> float:
-        return 2.0 * math.atan(abs(self.tau))
-
-    @property
-    def i_z(self) -> float:
-        """Population balance (4 I1 - N)/N on the twin sphere."""
-        a2 = abs(self.w1) ** 2
-        return (2.0 * a2 - 1.0) / (2.0 * a2 + 1.0)
-
-    def coherent(self) -> CoherentPoint:
-        return CoherentPoint(self.w1, self.w2)
-
-    def canonical(self, n_particles: int):
-        return self.coherent().to_canonical(n_particles)
-
-    def w_vector(self) -> np.ndarray:
-        return np.array([self.w1, self.w2], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,8 +46,7 @@ class FixedPointRecord:
 @dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
+    point: ClassicalPoint          # w1, w2 as arrays over the times
     energies: np.ndarray
     params: ModelParams
     rtol: float                    # integrator tolerance the run passed at
@@ -105,17 +58,10 @@ class Trajectory:
 
     def canonical_arrays(self):
         """(I1, I2, phi1, phi2) along the trajectory."""
-        n = self.params.n_particles
-        d = np.abs(self.w1) ** 2 + np.abs(self.w2) ** 2 + 1.0
-        i1 = n * np.abs(self.w1) ** 2 / d
-        i2 = n * np.abs(self.w2) ** 2 / d
-        phi1 = -np.angle(self.w1)
-        phi2 = -np.angle(self.w2)
-        return i1, i2, phi1, phi2
+        return self.point.canonical(self.params.n_particles)
 
     def i_z(self) -> np.ndarray:
-        a2 = np.abs(self.w1) ** 2
-        return (2.0 * a2 - 1.0) / (2.0 * a2 + 1.0)
+        return self.point.i_z
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +131,6 @@ def _velocity(w1: complex, w2: complex, params: ModelParams):
     scale = -1j * d / params.n_particles
     proj = w1.conjugate() * g1 + w2.conjugate() * g2
     return scale * (g1 + w1 * proj), scale * (g2 + w2 * proj)
-
-
-def w_gradient(w: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Wirtinger gradient dH/d(conj(w_m)), m = 1, 2, of the energy surface."""
-    return np.array(_gradient(complex(w[0]), complex(w[1]), params))
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +217,10 @@ def integrate_trajectory(init: ClassicalPoint, params: ModelParams,
                         t_eval=t_eval, rtol=rtol, atol=1e-12, args=(params,))
         if not sol.success:
             raise IntegrationError(f"integrator failed: {sol.message}")
-        w1 = sol.y[0] + 1j * sol.y[1]
-        w2 = sol.y[2] + 1j * sol.y[3]
-        energies = classical_hamiltonian(ClassicalPoint(w1, w2), params)
-        last = Trajectory(sol.t, w1, w2, energies, params, rtol)
+        point = ClassicalPoint(sol.y[0] + 1j * sol.y[1],
+                               sol.y[2] + 1j * sol.y[3])
+        last = Trajectory(sol.t, point, classical_hamiltonian(point, params),
+                          params, rtol)
         if last.relative_energy_drift <= drift_tol:
             return last
     raise IntegrationError(
@@ -353,9 +294,9 @@ def find_fixed_points(params: ModelParams,
         point = ClassicalPoint.from_twin_w(w)
         rec = _record_for(point, params, sector="w1=w2")
         if abs(w - 1.0) < 1e-6:
-            rec = _with_label(rec, "1+")
+            rec = replace(rec, label="1+")
         elif w < 0.0:
-            rec = _with_label(rec, "2+")
+            rec = replace(rec, label="2+")
         else:
             pair.append(rec)
         records.append(rec)
@@ -367,9 +308,9 @@ def find_fixed_points(params: ModelParams,
             four = min(pair, key=lambda r: r.energy_per_particle)
         for i, rec in enumerate(records):
             if rec in pair:
-                records[i] = _with_label(rec, "4+" if rec is four else "3+")
+                records[i] = replace(rec, label="4+" if rec is four else "3+")
     elif pair:
-        records = [(_with_label(r, "other") if r in pair else r)
+        records = [(replace(r, label="other") if r in pair else r)
                    for r in records]
     if replicate:
         extra = []
@@ -380,7 +321,7 @@ def find_fixed_points(params: ModelParams,
             for sector, pt in (("w1=1", ClassicalPoint(1.0, 1.0 / w)),
                                ("w2=1", ClassicalPoint(1.0 / w, 1.0))):
                 twin_rec = _record_for(pt, params, sector=sector)
-                extra.append(_with_label(twin_rec, rec.label))
+                extra.append(replace(twin_rec, label=rec.label))
         records.extend(extra)
     return records
 
@@ -388,7 +329,7 @@ def find_fixed_points(params: ModelParams,
 def _record_for(point: ClassicalPoint, params: ModelParams,
                 sector: str) -> FixedPointRecord:
     n = params.n_particles
-    grad = w_gradient(point.w_vector(), params) / n
+    grad = np.array(_gradient(point.w1, point.w2, params)) / n
     scale = max(1.0, abs(classical_hamiltonian(point, params)) / n)
     gnorm = float(np.linalg.norm(grad)) / scale
     eigs = np.linalg.eigvals(linearization(point, params))
@@ -403,16 +344,14 @@ def _record_for(point: ClassicalPoint, params: ModelParams,
     )
 
 
-def _with_label(rec: FixedPointRecord, label: str) -> FixedPointRecord:
-    return FixedPointRecord(rec.point, rec.energy_per_particle, label,
-                            rec.stability, rec.sector, rec.gradient_norm,
-                            rec.eigenvalues)
+def _positive_twin_roots(chi: float, mu: float) -> list:
+    """Positive twin critical points other than w = 1 (the 3+/4+ pair)."""
+    return [w for w in twin_critical_points(chi, mu)
+            if w > 1e-6 and abs(w - 1.0) > 1e-6]
 
 
 def _saddle_node_pair_present(chi: float, mu: float) -> bool:
-    roots = twin_critical_points(chi, mu)
-    positive = [w for w in roots if w > 1e-6 and abs(w - 1.0) > 1e-6]
-    return len(positive) >= 2
+    return len(_positive_twin_roots(chi, mu)) >= 2
 
 
 def bifurcation_scan(mu: float, chi_range: tuple,
@@ -433,11 +372,8 @@ def bifurcation_scan(mu: float, chi_range: tuple,
 
 def _twin_branch_w4(chi: float, mu: float) -> Optional[float]:
     """Location of the 4+ fixed point (smallest positive non-unit root)."""
-    roots = twin_critical_points(chi, mu)
-    positive = [w for w in roots if w > 1e-6 and abs(w - 1.0) > 1e-6]
-    if len(positive) < 2:
-        return None
-    return min(positive)
+    positive = _positive_twin_roots(chi, mu)
+    return min(positive) if len(positive) >= 2 else None
 
 
 def level_crossing(mu: float, chi_search: tuple = (1.0, 4.0),
@@ -481,10 +417,6 @@ class ThetaMinRow:
     degenerate: bool               # flagged at the crossing point
 
 
-def _theta_of_w(w: float) -> float:
-    return 2.0 * math.atan(math.sqrt(2.0) * abs(w))
-
-
 def twin_quadratic_portion(w, mu: float, omega: float = -1.0):
     """H1/N: the chi-coefficient of the reduced twin energy (per particle)."""
     w = np.asarray(w, dtype=float)
@@ -522,7 +454,7 @@ def theta_min_analysis(chi_values, mu: float = 0.0, omega: float = -1.0,
         h1 = float(twin_quadratic_portion(w_min, mu, omega))
         rows.append(ThetaMinRow(
             chi=float(chi),
-            theta_min=_theta_of_w(w_min),
+            theta_min=ClassicalPoint.from_twin_w(w_min).theta,
             h_min=e_min,
             dh_dchi=dh,
             d2h_dchi2=d2h,

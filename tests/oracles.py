@@ -9,12 +9,11 @@ from scipy.special import gammaln
 
 from triwell.algebra import (ModelParams, generators, hamiltonian_terms,
                              model_context)
-from triwell.coherent import (CoherentPoint, QuantumState, coherent_state,
+from triwell.coherent import (ClassicalPoint, QuantumState, coherent_state,
                               log_multinomial)
 from triwell.fock import (FockBasis, build_basis, check_hermitian, hop_operator,
                          lex_rank)
 from triwell.purity import generalized_purity
-from triwell.semiclassical import ClassicalPoint
 
 
 class ModelConsistencyError(RuntimeError):
@@ -87,12 +86,12 @@ def verify_equivalence(basis: FockBasis, params: ModelParams,
 # Coherent states
 # ---------------------------------------------------------------------------
 
-def amplitudes3(point: CoherentPoint) -> np.ndarray:
+def amplitudes3(point: ClassicalPoint) -> np.ndarray:
     """The three mode amplitudes (w1, w2, 1)."""
     return np.array([point.w1, point.w2, 1.0], dtype=complex)
 
 
-def product_form_check(basis: FockBasis, point: CoherentPoint) -> float:
+def product_form_check(basis: FockBasis, point: ClassicalPoint) -> float:
     """Fidelity between the Fock expansion and (a_w^dag)^N |0> / sqrt(N!).
 
     The product form is built by repeated application of the collective
@@ -119,7 +118,7 @@ def product_form_check(basis: FockBasis, point: CoherentPoint) -> float:
     return float(abs(np.vdot(vec, reference)) ** 2)
 
 
-def expectation_hop_closed_form(point: CoherentPoint, n_particles: int,
+def expectation_hop_closed_form(point: ClassicalPoint, n_particles: int,
                                 i: int, j: int) -> complex:
     """<a_i^dag a_j> on |N; w> = N conj(w_i) w_j / D."""
     w = amplitudes3(point)
@@ -127,7 +126,7 @@ def expectation_hop_closed_form(point: CoherentPoint, n_particles: int,
     return n_particles * np.conj(w[i - 1]) * w[j - 1] / point.d
 
 
-def expectation_self_collision_closed_form(point: CoherentPoint,
+def expectation_self_collision_closed_form(point: ClassicalPoint,
                                            n_particles: int, i: int) -> float:
     """<a_i^dag2 a_i^2> = N(N-1) |w_i|^4 / D^2."""
     _check_modes(i)
@@ -136,7 +135,7 @@ def expectation_self_collision_closed_form(point: CoherentPoint,
             * abs(w[i - 1]) ** 4 / point.d ** 2)
 
 
-def expectation_cross_collision_closed_form(point: CoherentPoint,
+def expectation_cross_collision_closed_form(point: ClassicalPoint,
                                             n_particles: int,
                                             i: int, j: int, k: int) -> complex:
     """<n_i a_j^dag a_k> = N(N-1) |w_i|^2 conj(w_j) w_k / D^2, i,j,k distinct."""
@@ -148,7 +147,7 @@ def expectation_cross_collision_closed_form(point: CoherentPoint,
             * np.conj(w[j - 1]) * w[k - 1] / point.d ** 2)
 
 
-def matrix_expectation(basis: FockBasis, point: CoherentPoint, i: int,
+def matrix_expectation(basis: FockBasis, point: ClassicalPoint, i: int,
                        j: int) -> complex:
     """Matrix-sandwich oracle for <a_i^dag a_j> on the coherent state."""
     psi = coherent_state(basis, point).amplitudes
@@ -420,7 +419,7 @@ def husimi_quadrature_oracle(state, i1: float, i2: float,
     total = 0.0
     for p1 in phis:
         for p2 in phis:
-            point = CoherentPoint.from_canonical(i1, i2, p1, p2, n)
+            point = ClassicalPoint.from_canonical(i1, i2, p1, p2, n)
             overlap = np.vdot(coherent_state(basis, point).amplitudes,
                               state.amplitudes)
             total += abs(overlap) ** 2

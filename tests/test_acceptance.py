@@ -14,15 +14,14 @@ from oracles import (canonical_gradient, canonical_hamiltonian, expectation,
                      hamiltonian_direct, hamiltonian_generators,
                      husimi_quadrature_oracle)
 from triwell.algebra import ModelParams, model_context
-from triwell.coherent import CoherentPoint, coherent_state
+from triwell.coherent import ClassicalPoint, coherent_state
 from triwell.distributions import (count_local_maxima, husimi_population,
                                    phase_distribution,
                                    phase_marginal_variance)
 from triwell.purity import critical_chi_q, generalized_purity, power_law_fit
-from triwell.semiclassical import (ClassicalPoint, bifurcation_scan,
-                                   classical_hamiltonian, find_fixed_points,
-                                   integrate_trajectory, level_crossing,
-                                   theta_min_analysis)
+from triwell.semiclassical import (bifurcation_scan, classical_hamiltonian,
+                                   find_fixed_points, integrate_trajectory,
+                                   level_crossing, theta_min_analysis)
 from triwell.spectral import ground_state
 
 
@@ -53,7 +52,7 @@ def test_criterion_03_coherent_purity(capsys):
         ctx = model_context(n)
         for _ in range(50):
             w = rng.normal(size=2) + 1j * rng.normal(size=2)
-            st = coherent_state(ctx.basis, CoherentPoint(*w))
+            st = coherent_state(ctx.basis, ClassicalPoint(*w))
             p = generalized_purity(st, ctx.gens, n)
             worst = max(worst, abs(p - 1.0))
     ok = worst < 1e-10
@@ -64,7 +63,7 @@ def test_criterion_03_coherent_purity(capsys):
 def test_criterion_04_noninteracting_ground_state(capsys):
     params = ModelParams.from_reduced(-1.0, 0.0, 0.0, 30)
     e0, gs = ground_state(params)
-    ref = coherent_state(model_context(30).basis, CoherentPoint(1.0, 1.0))
+    ref = coherent_state(model_context(30).basis, ClassicalPoint(1.0, 1.0))
     fidelity = abs(np.vdot(ref.amplitudes, gs.amplitudes)) ** 2
     ok = abs(e0 + 60.0) <= 1e-9 and fidelity >= 1.0 - 1e-10
     report(capsys, 4, "non-interacting ground state", ok,
@@ -184,7 +183,7 @@ def test_criterion_10_oracle_equivalences(capsys):
         for _ in range(5):
             w = rng.normal(size=2) + 1j * rng.normal(size=2)
             pt = ClassicalPoint(*w)
-            st = coherent_state(ctx.basis, pt.coherent())
+            st = coherent_state(ctx.basis, pt)
             exact = expectation(h, st.amplitudes)
             worst_h = max(worst_h,
                           abs(classical_hamiltonian(pt, params) - exact))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from triwell.cli import _fmt, main, write_csv
+from triwell.cli import _fmt, build_parser, main, write_csv
 
 
 def read(path):
@@ -146,6 +146,46 @@ def test_out_of_range_value_exits_two(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert "usage error" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["scaling", "--n", "10", "12", "--lam", "0.3"],
+    ["scaling", "--n", "10", "12", "--chi", "2.5"],   # not read as --chi-c
+    ["purity-scan", "--kappa", "5"],
+    ["theta-min", "--chi", "9"],
+    ["fields", "--n", "8", "--k", "6"],               # not read as --kappa
+])
+def test_flag_a_command_does_not_take_exits_two(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["fixed-points", "--kappa", "0.1", "--chi-scan", "1.5", "2.5", "5"],
+    ["fixed-points", "--lam", "0.1", "--chi-scan", "1.5", "2.5", "5"],
+    ["theta-min", "--n", "10", "20"],
+])
+def test_option_the_command_cannot_honour_exits_two(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", [
+    "spectrum", "purity-scan", "scaling", "fields", "fixed-points",
+    "trajectory", "theta-min"])
+def test_workers_on_every_command_couplings_where_read(command):
+    parser = build_parser()
+    assert parser.parse_args([command, "--workers", "1"]).workers == 1
+    couplings = ["--chi", "1.0", "--kappa", "0.1", "--lam", "0.2"]
+    if command in ("spectrum", "fields", "fixed-points", "trajectory"):
+        args = parser.parse_args([command, *couplings])
+        assert (args.chi, args.kappa, args.lam) == (1.0, 0.1, 0.2)
+    else:
+        assert not hasattr(parser.parse_args([command]), "chi")
 
 
 def test_numerical_failure_exits_three(tmp_path, capsys):

@@ -5,16 +5,16 @@ from oracles import (expectation_cross_collision_closed_form,
                      expectation_hop_closed_form,
                      expectation_self_collision_closed_form, index_of,
                      matrix_expectation, product_form_check)
-from triwell.coherent import (CoherentPoint, QuantumState, coherent_state,
+from triwell.coherent import (ClassicalPoint, QuantumState, coherent_state,
                               log_multinomial)
 from triwell.fock import build_basis, hop_operator
 
 POINTS = [
-    CoherentPoint(1.0, 1.0),
-    CoherentPoint(0.0, 0.0),
-    CoherentPoint(0.3 + 0.2j, -0.7 + 0.1j),
-    CoherentPoint(2.5, 0.4j),
-    CoherentPoint(0.0, 1.3 - 0.6j),
+    ClassicalPoint(1.0, 1.0),
+    ClassicalPoint(0.0, 0.0),
+    ClassicalPoint(0.3 + 0.2j, -0.7 + 0.1j),
+    ClassicalPoint(2.5, 0.4j),
+    ClassicalPoint(0.0, 1.3 - 0.6j),
 ]
 
 
@@ -36,7 +36,7 @@ def test_product_form_identity(point):
 def test_amplitude_formula_small_case():
     # N = 2, w = (1, 1): amplitudes proportional to sqrt(2!/(n1! n2! n3!))
     basis = build_basis(2)
-    state = coherent_state(basis, CoherentPoint(1.0, 1.0))
+    state = coherent_state(basis, ClassicalPoint(1.0, 1.0))
     d = 3.0
     for idx, (n1, n2, n3) in enumerate(basis.states):
         from math import factorial
@@ -81,10 +81,10 @@ def test_collision_closed_forms(point):
 
 
 def test_canonical_chart_roundtrip():
-    point = CoherentPoint(0.8 - 0.3j, 0.2 + 0.6j)
+    point = ClassicalPoint(0.8 - 0.3j, 0.2 + 0.6j)
     n = 20
-    i1, i2, p1, p2 = point.to_canonical(n)
-    back = CoherentPoint.from_canonical(i1, i2, p1, p2, n)
+    i1, i2, p1, p2 = point.canonical(n)
+    back = ClassicalPoint.from_canonical(i1, i2, p1, p2, n)
     assert back.w1 == pytest.approx(point.w1, abs=1e-12)
     assert back.w2 == pytest.approx(point.w2, abs=1e-12)
     assert i1 == pytest.approx(n * abs(point.w1) ** 2 / point.d)
@@ -102,8 +102,8 @@ def test_fuzzed_overlap_symmetry():
     rng = np.random.default_rng(7)
     basis = build_basis(6)
     for _ in range(10):
-        u = CoherentPoint(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
-        v = CoherentPoint(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
+        u = ClassicalPoint(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
+        v = ClassicalPoint(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
         uv = np.vdot(coherent_state(basis, u).amplitudes,
                      coherent_state(basis, v).amplitudes)
         vu = np.vdot(coherent_state(basis, v).amplitudes,

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import husimi_population_loop, husimi_quadrature_oracle
 from triwell.algebra import ModelParams, model_context
-from triwell.coherent import CoherentPoint, QuantumState, coherent_state
+from triwell.coherent import ClassicalPoint, QuantumState, coherent_state
 from triwell.distributions import (ScalarField2D, count_local_maxima,
                                    husimi_population, phase_distribution,
                                    phase_marginal_variance)
@@ -119,7 +119,7 @@ def test_phase_distribution_parseval():
 
 def test_phase_distribution_coherent_peak_at_zero():
     ctx = model_context(10)
-    state = coherent_state(ctx.basis, CoherentPoint(1.0, 1.0))
+    state = coherent_state(ctx.basis, ClassicalPoint(1.0, 1.0))
     m = 128
     phi = 2.0 * np.pi * np.arange(m) / m
     field = phase_distribution(state, phi, phi)

@@ -10,7 +10,7 @@ from oracles import (ConsistencyError, algebra_purity_constant,
                      algebra_reduced_purity, orthonormal_generator_basis)
 from triwell import purity, spectral
 from triwell.algebra import ModelParams, model_context
-from triwell.coherent import CoherentPoint, QuantumState, coherent_state
+from triwell.coherent import ClassicalPoint, QuantumState, coherent_state
 from triwell.errors import BracketingError
 from triwell.purity import (critical_chi_q, generalized_purity,
                             derivative_method, ground_state_purity,
@@ -31,7 +31,7 @@ def test_coherent_states_have_unit_purity(n):
     rng = np.random.default_rng(3)
     for _ in range(5):
         w = rng.normal(size=2) + 1j * rng.normal(size=2)
-        st = coherent_state(ctx.basis, CoherentPoint(*w))
+        st = coherent_state(ctx.basis, ClassicalPoint(*w))
         assert generalized_purity(st, ctx.gens, n) == pytest.approx(
             1.0, abs=1e-11)
 

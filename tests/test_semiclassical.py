@@ -14,14 +14,19 @@ from oracles import (canonical_gradient, canonical_hamiltonian,
                      canonical_velocity, equations_of_motion)
 from triwell.algebra import ModelParams
 from triwell.errors import BracketingError
-from triwell.semiclassical import (ClassicalPoint, _velocity, bifurcation_scan,
-                                   classical_hamiltonian, find_fixed_points,
-                                   integrate_trajectory, level_crossing,
-                                   linearization, theta_min_analysis,
-                                   twin_critical_points, twin_energy_reduced,
-                                   twin_quadratic_portion, w_gradient)
+from triwell.semiclassical import (ClassicalPoint, _gradient, _velocity,
+                                   bifurcation_scan, classical_hamiltonian,
+                                   find_fixed_points, integrate_trajectory,
+                                   level_crossing, linearization,
+                                   theta_min_analysis, twin_critical_points,
+                                   twin_energy_reduced, twin_quadratic_portion)
 
 PARAMS = ModelParams.from_reduced(-1.0, 2.2, 0.15, 30)
+
+
+def w_gradient(point, params):
+    """The library's closed-form dH/d(conj w) at a point, as an array."""
+    return np.array(_gradient(complex(point.w1), complex(point.w2), params))
 
 
 def w_velocity(point, params):
@@ -36,7 +41,7 @@ def test_coherent_energy_matches_quantum_expectation():
     ctx = model_context(9)
     params = ModelParams(-1.0, 0.3, 0.1, 9)
     pt = ClassicalPoint(0.7 + 0.4j, -0.2 + 0.9j)
-    st = coherent_state(ctx.basis, pt.coherent())
+    st = coherent_state(ctx.basis, pt)
     quantum = oracles.expectation(ctx.hamiltonian(params), st.amplitudes)
     assert classical_hamiltonian(pt, params) == pytest.approx(
         quantum, abs=1e-10)
@@ -44,7 +49,7 @@ def test_coherent_energy_matches_quantum_expectation():
 
 def test_w_gradient_finite_difference():
     w = np.array([0.8 + 0.2j, -0.3 + 0.5j])
-    grad = w_gradient(w, PARAMS)
+    grad = w_gradient(ClassicalPoint(*w), PARAMS)
     eps = 1e-6
     for m in range(2):
         for part, picker in ((1.0, np.real), (1j, np.imag)):
@@ -84,7 +89,7 @@ def test_closed_form_flow_matches_metric_solve(w1, w2, params):
                         + (n - 1) * (abs(params.kappa) + 2 * abs(params.lam)))
     grad_scale = energy_scale / math.sqrt(d)
     grad = oracles.w_gradient(w1, w2, params)
-    assert np.linalg.norm(w_gradient(pt.w_vector(), params) - grad) <= (
+    assert np.linalg.norm(w_gradient(pt, params) - grad) <= (
         1e-12 * np.linalg.norm(grad) + 1e-14 * grad_scale)
     ref = oracles.w_velocity(w1, w2, params)
     assert np.linalg.norm(w_velocity(pt, params) - ref) <= (
@@ -106,6 +111,29 @@ def test_energy_samples_on_arrays_match_scalar_calls():
     loop = (PARAMS.omega_eff * n * h1 / d + n * (n - 1) * (
         PARAMS.kappa * h2 - 2.0 * PARAMS.lam * h3.real) / d ** 2)
     assert scalar[1] == pytest.approx(loop, rel=1e-13)
+
+
+def test_array_point_chart_matches_scalar_points():
+    """d, the canonical chart and i_z of an array-valued point (the samples
+    of a trajectory) equal the scalar values element by element."""
+    rng = np.random.default_rng(7)
+    w1 = rng.normal(size=40) + 1j * rng.normal(size=40)
+    w2 = 3.0 * (rng.normal(size=40) + 1j * rng.normal(size=40))
+    w1[0] = w2[0] = w1[1] = 0.0
+    n = PARAMS.n_particles
+    arrays = ClassicalPoint(w1, w2)
+    points = [ClassicalPoint(complex(a), complex(b)) for a, b in zip(w1, w2)]
+    pairs = [(arrays.d, [p.d for p in points]),
+             (arrays.i_z, [p.i_z for p in points])]
+    chart = [p.canonical(n) for p in points]
+    pairs += [(got, [c[k] for c in chart])
+              for k, got in enumerate(arrays.canonical(n))]
+    for got, scalar in pairs:
+        assert isinstance(got, np.ndarray) and got.shape == (40,)
+        assert np.allclose(got, scalar, rtol=1e-15, atol=0.0)
+    # phi = -np.angle(w) on both forms, so an empty well reads -0.0
+    assert math.copysign(1.0, arrays.canonical(n)[2][0]) == -1.0
+    assert math.copysign(1.0, chart[0][2]) == -1.0
 
 
 def test_linearization_matches_symbolic_hessian():
@@ -314,7 +342,7 @@ def test_trajectory_conserves_energy_and_twin_symmetry():
     traj = integrate_trajectory(start, params, 30.0, 0.05)
     assert traj.relative_energy_drift < 1e-8
     assert traj.rtol in (1e-10, 1e-12)
-    assert np.max(np.abs(traj.w1 - traj.w2)) < 1e-7
+    assert np.max(np.abs(traj.point.w1 - traj.point.w2)) < 1e-7
 
 
 def test_trajectory_stays_near_stable_center():

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import expectation, index_of
 from triwell.algebra import ModelParams, model_context
-from triwell.coherent import CoherentPoint, coherent_state
+from triwell.coherent import ClassicalPoint, coherent_state
 from triwell.spectral import (degenerate_clusters, eigensolve_lowest,
                               ground_state, spectrum)
 
@@ -35,7 +35,7 @@ def test_variational_bound():
         params = ModelParams.from_reduced(-1.0, chi, 0.0, 12)
         e0, _ = ground_state(params)
         ctx = model_context(12)
-        st = coherent_state(ctx.basis, CoherentPoint(1.0, 1.0))
+        st = coherent_state(ctx.basis, ClassicalPoint(1.0, 1.0))
         e_coh = expectation(ctx.hamiltonian(params), st.amplitudes)
         assert e0 <= e_coh + 1e-10
 
