@@ -372,9 +372,9 @@ def _parse_init(text: str):
     return float(parts[0]), float(parts[1])
 
 
-def _add_common(sub, overrides: dict | None, couplings: bool = False):
-    """Shared options, then the ``--config`` defaults; ``couplings`` adds
-    the --chi, --kappa and --lam of the commands that call resolve_params."""
+def _add_common(sub, couplings: bool = False):
+    """Shared options; ``couplings`` adds the --chi, --kappa and --lam of
+    the commands that call resolve_params."""
     sub.add_argument("--n", type=int, nargs="+", default=[30],
                      help="total particle number(s)")
     sub.add_argument("--omega", type=float, default=-1.0,
@@ -392,14 +392,11 @@ def _add_common(sub, overrides: dict | None, couplings: bool = False):
     sub.add_argument("--workers", type=int, default=1,
                      help="worker-pool size for scans")
     sub.add_argument("--config", default=None,
-                     help="key=value file overriding defaults")
-    sub.set_defaults(**(overrides or {}))
+                     help="key = value file read as the command's own flags")
 
 
-def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
-    """The ``triwell`` parser.  ``overrides`` (the ``--config`` entries)
-    replace the built-in defaults of every subcommand; explicit flags still
-    win."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``triwell`` parser."""
     parser = argparse.ArgumentParser(
         prog="triwell",
         description="Triple-well condensate simulation engine")
@@ -410,14 +407,14 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
 
     p = command("spectrum", help="low-lying eigenvalues")
     p.add_argument("--k", type=int, default=4, help="number of eigenpairs")
-    _add_common(p, overrides, couplings=True)
+    _add_common(p, couplings=True)
     p.set_defaults(func=cmd_spectrum)
 
     p = command("purity-scan", help="ground-state purity vs chi")
     p.add_argument("--chi-min", type=float, default=0.0)
     p.add_argument("--chi-max", type=float, default=3.0)
     p.add_argument("--chi-steps", type=int, default=61)
-    _add_common(p, overrides)
+    _add_common(p)
     p.set_defaults(func=cmd_purity_scan)
 
     p = command("scaling", help="chi_c^q(N) and power-law fit")
@@ -426,13 +423,13 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--chi-c", type=float, default=2.0,
                    help="semiclassical critical value used in the fit")
-    _add_common(p, overrides)
+    _add_common(p)
     p.set_defaults(func=cmd_scaling)
 
     p = command("fields", help="Husimi and phase distributions")
     p.add_argument("--pop-grid", type=int, default=101)
     p.add_argument("--phase-grid", type=int, default=256)
-    _add_common(p, overrides, couplings=True)
+    _add_common(p, couplings=True)
     p.set_defaults(func=cmd_fields)
 
     p = command("fixed-points", help="classical equilibria table")
@@ -441,7 +438,7 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--chi-scan", type=float, nargs=3, default=None,
                    metavar=("LO", "HI", "STEPS"),
                    help="also scan branch energies over chi")
-    _add_common(p, overrides, couplings=True)
+    _add_common(p, couplings=True)
     p.set_defaults(func=cmd_fixed_points)
 
     p = command("trajectory", help="semiclassical trajectories")
@@ -450,31 +447,34 @@ def build_parser(overrides: dict | None = None) -> argparse.ArgumentParser:
                    help="twin-sector initial condition (repeatable)")
     p.add_argument("--t-max", type=float, default=100.0)
     p.add_argument("--dt", type=float, default=0.05)
-    _add_common(p, overrides, couplings=True)
+    _add_common(p, couplings=True)
     p.set_defaults(func=cmd_trajectory)
 
     p = command("theta-min", help="twin-manifold minimum analysis")
     p.add_argument("--chi-min", type=float, default=0.0)
     p.add_argument("--chi-max", type=float, default=4.0)
     p.add_argument("--chi-steps", type=int, default=81)
-    _add_common(p, overrides)
+    _add_common(p)
     p.set_defaults(func=cmd_theta_min)
 
     return parser
 
 
-def _read_config(argv) -> dict:
-    """The key = value defaults of the file given by --config, if any."""
+def _with_config(argv) -> list:
+    """argv with the entries of the file given by --config, if any, put
+    after the command name as that command's own flags: ``key = v1 v2``
+    reads as ``--key v1 v2``, so an explicit flag still wins and a key the
+    command does not take is a usage error."""
     pre = argparse.ArgumentParser(prog="triwell", add_help=False,
                                   allow_abbrev=False)
     pre.add_argument("--config")
     name = pre.parse_known_args(argv)[0].config
     if name is None:
-        return {}
+        return argv
     path = Path(name)
     if not path.is_file():
         raise UsageError(f"config file not found: {path}")
-    overrides = {}
+    flags = []
     for line in path.read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -482,26 +482,15 @@ def _read_config(argv) -> dict:
         if "=" not in line:
             raise UsageError(f"malformed config line: {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        overrides[key.replace("-", "_")] = _coerce(key, value)
-    return overrides
-
-
-def _coerce(key: str, value: str):
-    parts = value.replace(",", " ").split()
-    if key == "n":
-        return [int(p) for p in parts]
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            pass
-    return value
+        flags += ["--" + key.replace("_", "-"),
+                  *value.replace(",", " ").split()]
+    return argv[:1] + flags + argv[1:]
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(_read_config(argv)).parse_args(argv)
+        args = build_parser().parse_args(_with_config(argv))
         return args.func(args)
     # LinAlgError (a LAPACK failure) subclasses ValueError; catch it first.
     except (NumericalError, np.linalg.LinAlgError) as exc:

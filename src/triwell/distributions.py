@@ -17,9 +17,7 @@ from .coherent import QuantumState, log_multinomial
 
 @dataclass(frozen=True)
 class ScalarField2D:
-    axis1_label: str
     axis1: np.ndarray
-    axis2_label: str
     axis2: np.ndarray
     values: np.ndarray             # (len(axis1), len(axis2)), >= 0, finite
     mask: np.ndarray               # True where the grid point is valid
@@ -52,7 +50,7 @@ def husimi_population(state: QuantumState, i1_grid,
     else:
         values[mask] = _husimi_points(state, x1[mask], x2[mask])
     values = np.clip(values, 0.0, None)
-    return ScalarField2D("I1", i1, "I2", i2, values, mask)
+    return ScalarField2D(i1, i2, values, mask)
 
 
 def _husimi_points(state: QuantumState, x1, x2) -> np.ndarray:
@@ -119,7 +117,7 @@ def phase_distribution(state: QuantumState, phi1_grid,
     field = e1 @ coeff @ e2
     values = np.abs(field) ** 2
     mask = np.ones(values.shape, dtype=bool)
-    return ScalarField2D("phi1", phi1, "phi2", phi2, values, mask)
+    return ScalarField2D(phi1, phi2, values, mask)
 
 
 def phase_marginal_variance(field: ScalarField2D, axis: int = 0) -> float:

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .algebra import ModelParams, model_context
 from .coherent import QuantumState
 from .errors import BracketingError
@@ -94,18 +95,14 @@ def derivative_method(omega: float, mu: float) -> str:
 
 
 def _a1_ground_state(omega: float, n_particles: int, chi: float):
-    """(A1 block terms, params, E0, real block vector v, T v, K v) at
-    mu = 0, solved with the dense/Krylov rule of ``spectral.spectrum``."""
-    from . import spectral
-
+    """(A1 block Hamiltonian as CSR, E0, real block vector v, T v, K v)
+    at mu = 0."""
     params = ModelParams.from_reduced(omega, chi, 0.0, n_particles)
-    ctx = model_context(n_particles)
-    a1 = ctx.sectors[0].terms
-    dense = ctx.basis.dimension <= spectral.DENSE_LIMIT
-    block = spectral.eigensolve_lowest(a1, params, 1, dense=dense)
-    v = block.states[0]
+    a1 = model_context(n_particles).sectors[0].terms
+    vals, vecs, h = spectral.eigensolve_lowest(a1, params, 1)
+    v = vecs[:, 0]
     tv, kv = np.split(a1.tunneling_collision @ v, 2)
-    return a1, params, float(block.eigenvalues[0]), v, tv, kv
+    return h, float(vals[0]), v, tv, kv
 
 
 def ground_state_purity(omega: float, mu: float, n_particles: int,
@@ -114,13 +111,11 @@ def ground_state_purity(omega: float, mu: float, n_particles: int,
     if n_particles == 0:
         raise ValueError("purity is undefined for zero particles")
     if purity_route(omega, mu) == "a1_tunneling":
-        _, _, _, v, tv, _ = _a1_ground_state(omega, n_particles, chi)
+        _, _, v, tv, _ = _a1_ground_state(omega, n_particles, chi)
         t = float(v @ tv)
         return t * t / (4.0 * n_particles ** 2)
-    from .spectral import ground_state
-
     params = ModelParams.from_reduced(omega, chi, mu, n_particles)
-    _, state = ground_state(params)
+    _, state = spectral.ground_state(params)
     ctx = model_context(n_particles)
     return generalized_purity(state, ctx.gens, n_particles)
 
@@ -131,8 +126,8 @@ def purity_derivative(omega: float, mu: float, n_particles: int,
     mu = 0) for N >= 2; raises ValueError elsewhere."""
     if purity_route(omega, mu) != "a1_tunneling" or n_particles < 2:
         raise ValueError("the exact dP/dchi needs omega < 0, mu = 0, N >= 2")
-    a1, params, e0, v, tv, kv = _a1_ground_state(omega, n_particles, chi)
-    x = _bordered_solve(a1.hamiltonian(params).toarray(), e0, v, tv)
+    h, e0, v, tv, kv = _a1_ground_state(omega, n_particles, chi)
+    x = _bordered_solve(h.toarray(), e0, v, tv)
     dt_dchi = -2.0 * omega / (n_particles - 1) * float(x @ kv)
     return float(v @ tv) / (2.0 * n_particles ** 2) * dt_dchi
 
@@ -151,8 +146,7 @@ def _bordered_solve(h: np.ndarray, e0: float, v: np.ndarray,
 
 
 def _scan_point(args):
-    omega, mu, n, chi = args
-    return chi, ground_state_purity(omega, mu, n, chi)
+    return ground_state_purity(*args)
 
 
 def map_tasks(fn, tasks, workers: int = 1) -> list:
@@ -170,8 +164,7 @@ def purity_scan(omega: float, mu: float, n_particles: int, chi_grid,
     if grid.size < 1 or np.any(np.diff(grid) <= 0):
         raise ValueError("chi grid must be non-empty and strictly ascending")
     tasks = [(omega, mu, n_particles, chi) for chi in grid]
-    results = dict(map_tasks(_scan_point, tasks, workers))
-    purity = np.array([results[chi] for chi in grid])
+    purity = np.array(map_tasks(_scan_point, tasks, workers))
     derivative = np.full_like(purity, np.nan)
     if grid.size >= 3:
         derivative[1:-1] = (purity[2:] - purity[:-2]) / (grid[2:] - grid[:-2])
@@ -183,44 +176,40 @@ _STEP = 0.005
 
 
 def critical_chi_q(omega: float, mu: float, n_particles: int,
-                   window: tuple, tol: float = 1e-3,
-                   purity_fn=None) -> float:
-    """Minimizer of dP/dchi inside the window, refined to the tolerance.
+                   window: tuple, tol: float = 1e-3) -> float:
+    """Minimizer of dP/dchi of the ground-state purity inside the window,
+    refined to the tolerance (see ``_window_minimum``).
 
-    A coarse grid of 25 points locates the minimum and golden-section
-    search refines it; BracketingError if the coarse minimum is on the
-    window's edge or ties a neighbour.  On the A1 route
-    (``derivative_method`` "exact") dP/dchi is ``purity_derivative``;
-    otherwise, and whenever ``purity_fn`` (chi -> purity, e.g. a
-    synthetic oracle) replaces the ground-state purity, it is a centered
-    difference of half-width 0.005.
+    On the A1 route (``derivative_method`` "exact") dP/dchi is
+    ``purity_derivative``; otherwise it is a centered difference of
+    half-width _STEP.
     """
-    lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise ValueError("window must satisfy lo < hi")
-    if purity_fn is None and derivative_method(omega, mu) == "exact":
+    if derivative_method(omega, mu) == "exact":
         def deriv(chi):
             return purity_derivative(omega, mu, n_particles, chi)
     else:
-        if purity_fn is None:
-            cache = {}
-
-            def purity_fn(chi, _c=cache):
-                if chi not in _c:
-                    _c[chi] = ground_state_purity(omega, mu, n_particles, chi)
-                return _c[chi]
-
         def deriv(chi):
-            return ((purity_fn(chi + _STEP) - purity_fn(chi - _STEP))
-                    / (2.0 * _STEP))
+            p_hi = ground_state_purity(omega, mu, n_particles, chi + _STEP)
+            p_lo = ground_state_purity(omega, mu, n_particles, chi - _STEP)
+            return (p_hi - p_lo) / (2.0 * _STEP)
+    return _window_minimum(deriv, window, tol)
 
+
+def _window_minimum(f, window: tuple, tol: float) -> float:
+    """Minimizer of f inside the window: a coarse grid of 25 points
+    locates the minimum and golden-section search refines it to the
+    tolerance; BracketingError if the coarse minimum is on the window's
+    edge or ties a neighbour."""
+    lo, hi = float(window[0]), float(window[1])
+    if not hi > lo:
+        raise ValueError("window must satisfy lo < hi")
     coarse = np.linspace(lo, hi, 25)
-    values = np.array([deriv(c) for c in coarse])
+    values = np.array([f(c) for c in coarse])
     imin = int(np.argmin(values))
     if imin in (0, len(coarse) - 1):
         raise BracketingError(
             f"dP/dchi minimum sits on the window boundary at chi={coarse[imin]:g}")
-    return _golden(deriv, coarse[imin - 1:imin + 2], values[imin - 1:imin + 2],
+    return _golden(f, coarse[imin - 1:imin + 2], values[imin - 1:imin + 2],
                    tol)
 
 

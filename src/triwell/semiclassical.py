@@ -30,6 +30,8 @@ _STABLE = "stable-center"
 _UNSTABLE = "unstable"
 
 _STABILITY_REL = 1e-8
+# Largest relative energy drift an integrated trajectory may keep.
+_DRIFT_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,8 +206,7 @@ def _rhs(_t, y, params):
 
 
 def integrate_trajectory(init: ClassicalPoint, params: ModelParams,
-                         t_max: float, dt: float,
-                         drift_tol: float = 1e-8) -> Trajectory:
+                         t_max: float, dt: float) -> Trajectory:
     """Adaptive high-order integration in the w-chart with drift control."""
     if t_max <= 0 or dt <= 0:
         raise ValueError("t_max and dt must be positive")
@@ -221,10 +222,10 @@ def integrate_trajectory(init: ClassicalPoint, params: ModelParams,
                                sol.y[2] + 1j * sol.y[3])
         last = Trajectory(sol.t, point, classical_hamiltonian(point, params),
                           params, rtol)
-        if last.relative_energy_drift <= drift_tol:
+        if last.relative_energy_drift <= _DRIFT_TOL:
             return last
-    raise IntegrationError(
-        f"energy drift {last.relative_energy_drift:.3e} exceeds {drift_tol:g}")
+    raise IntegrationError(f"energy drift {last.relative_energy_drift:.3e} "
+                           f"exceeds {_DRIFT_TOL:g}")
 
 
 # ---------------------------------------------------------------------------

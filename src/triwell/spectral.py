@@ -33,6 +33,8 @@ from .errors import SolverError
 
 DENSE_LIMIT = 2000
 _RESIDUAL_FACTOR = 1e-10
+# Relative spacing below which levels form one degenerate cluster.
+_CLUSTER_TOL = 1e-9
 # Order of the sectors inside a quasi-degenerate cluster.
 _SECTOR_ORDER = {"A1": 0, "A2": 1, "E": 2}
 
@@ -40,30 +42,30 @@ _SECTOR_ORDER = {"A1": 0, "A2": 1, "E": 2}
 @dataclass(frozen=True)
 class SpectrumResult:
     eigenvalues: np.ndarray          # ascending; A1, A2, E inside a cluster
-    states: list                     # QuantumState (ndarray per block)
+    states: list                     # QuantumState, one per level
     residuals: np.ndarray            # per-pair ||Hv - Ev||
-    labels: tuple = ()               # per-level sector: "A1", "A2" or "E"
+    labels: tuple                    # per-level sector: "A1", "A2" or "E"
     # lowest level of a sector other than the ground level's, minus the
     # ground level (inf when there is no other sector)
-    sector_gap: float = math.nan
+    sector_gap: float
 
 
-def eigensolve_lowest(terms: HamiltonianTerms, params: ModelParams, k: int,
-                      dense: bool | None = None) -> SpectrumResult:
+def eigensolve_lowest(terms: HamiltonianTerms, params: ModelParams, k: int):
     """k lowest eigenpairs of the real symmetric matrix
-    ``terms.hamiltonian(params)``, with orthonormal, sign-fixed eigenvectors
-    (plain arrays in ``states``).
+    ``terms.hamiltonian(params)``: (ascending eigenvalues, orthonormal
+    sign-fixed eigenvectors as columns, the CSR matrix solved).
 
-    ``dense`` selects LAPACK over Krylov; by default LAPACK is used up to
-    dimension DENSE_LIMIT.
+    ``terms`` is the whole N-particle space or one of its symmetry blocks.
+    LAPACK solves it while the whole space, of dimension (N+1)(N+2)/2, is
+    at most DENSE_LIMIT or k exceeds a quarter of the block; Krylov
+    otherwise.
     """
     dim = terms.dimension
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in 1..{dim}, got {k}")
     m = terms.hamiltonian(params)
-    if dense is None:
-        dense = dim <= DENSE_LIMIT
-    if dense or k > dim // 4:
+    n = params.n_particles
+    if (n + 1) * (n + 2) // 2 <= DENSE_LIMIT or k > dim // 4:
         vals, vecs = la.eigh(m.toarray(), subset_by_index=[0, k - 1])
     else:
         vals, vecs = _krylov_lowest(m, k)
@@ -77,7 +79,7 @@ def eigensolve_lowest(terms: HamiltonianTerms, params: ModelParams, k: int,
         vecs = _fix_signs(vecs)
         residuals = np.linalg.norm(m @ vecs - vecs * vals[None, :], axis=0)
         _check_residuals(residuals, scale)
-    return SpectrumResult(vals, [vecs[:, i] for i in range(k)], residuals)
+    return vals, vecs, m
 
 
 def _check_residuals(residuals, scale):
@@ -104,13 +106,13 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs * np.sign(vecs[pivots, np.arange(vecs.shape[1])])
 
 
-def degenerate_clusters(eigenvalues: np.ndarray,
-                        rel_tol: float = 1e-9) -> list:
-    """Group indices of eigenvalues closer than rel_tol * spectral scale."""
+def degenerate_clusters(eigenvalues: np.ndarray) -> list:
+    """Group indices of eigenvalues closer than _CLUSTER_TOL * spectral
+    scale."""
     scale = max(1.0, float(np.max(np.abs(eigenvalues))))
     clusters, current = [], [0]
     for i in range(1, len(eigenvalues)):
-        if abs(eigenvalues[i] - eigenvalues[i - 1]) < rel_tol * scale:
+        if abs(eigenvalues[i] - eigenvalues[i - 1]) < _CLUSTER_TOL * scale:
             current.append(i)
         else:
             clusters.append(current)
@@ -129,11 +131,10 @@ def spectrum(params: ModelParams, k: int) -> SpectrumResult:
     levels = []                      # (energy, label, block vector, isometry)
     for sector in ctx.sectors:
         partners = len(sector.isometries)
-        block = eigensolve_lowest(
+        vals, vecs, _ = eigensolve_lowest(
             sector.terms, params,
-            min(-(-k // partners), sector.terms.dimension),
-            dense=dim <= DENSE_LIMIT)
-        for energy, vec in zip(block.eigenvalues, block.states):
+            min(-(-k // partners), sector.terms.dimension))
+        for energy, vec in zip(vals, vecs.T):
             levels += [(float(energy), sector.label, vec, isometry)
                        for isometry in sector.isometries]
     levels.sort(key=lambda level: level[0])

@@ -199,16 +199,18 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
 
 
 def test_config_file_defaults_and_precedence(tmp_path):
+    shared = tmp_path / "shared.txt"
+    shared.write_text("n = 9\nchi = 1.5\n# comment line\n")
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("n = 9\nchi = 1.5\npop_grid = 11\n# comment line\n")
+    cfg.write_text(shared.read_text() + "pop_grid = 11\n")
     out1 = tmp_path / "r1"
-    assert main(["spectrum", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert main(["spectrum", "--config", str(shared), "--out", str(out1)]) == 0
     meta = json.loads(read(out1 / "spectrum.meta.json"))
     assert meta["params"]["n_particles"] == 9
     assert meta["params"]["chi"] == pytest.approx(1.5)
     # explicit flags beat the config file
     out2 = tmp_path / "r2"
-    assert main(["spectrum", "--config", str(cfg), "--chi", "0.25",
+    assert main(["spectrum", "--config", str(shared), "--chi", "0.25",
                  "--out", str(out2)]) == 0
     meta2 = json.loads(read(out2 / "spectrum.meta.json"))
     assert meta2["params"]["chi"] == pytest.approx(0.25)
@@ -221,9 +223,26 @@ def test_config_file_defaults_and_precedence(tmp_path):
     assert meta3["params"]["chi"] == pytest.approx(1.5)
     # the --config=FILE spelling reads the file too
     out4 = tmp_path / "r4"
-    assert main(["spectrum", f"--config={cfg}", "--out", str(out4)]) == 0
+    assert main(["spectrum", f"--config={shared}", "--out", str(out4)]) == 0
     meta4 = json.loads(read(out4 / "spectrum.meta.json"))
     assert meta4["params"]["n_particles"] == 9
+
+
+@pytest.mark.parametrize("command, entries", [
+    (["fields"], "pop_gird = 11\n"),                     # a typo
+    (["purity-scan", "--n", "6", "--chi-steps", "3"], "lam = 0.3\n"),
+    (["purity-scan", "--n", "6", "--chi-steps", "3"], "kappa = 5\n"),
+    (["spectrum"], "n = 9\npop_grid = 11\n"),         # another command's key
+])
+def test_config_key_the_command_does_not_take_exits_two(tmp_path, capsys,
+                                                        command, entries):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(entries)
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--config", str(cfg), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_fixed_points_table_and_branch_scan(tmp_path):

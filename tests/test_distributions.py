@@ -129,15 +129,14 @@ def test_phase_distribution_coherent_peak_at_zero():
 
 def test_phase_variance_limits():
     # flat density: fully spread phase, circular variance 1
-    flat = ScalarField2D("phi1", np.linspace(0, 2 * np.pi, 32, endpoint=False),
-                         "phi2", np.linspace(0, 2 * np.pi, 32, endpoint=False),
+    flat = ScalarField2D(np.linspace(0, 2 * np.pi, 32, endpoint=False),
+                         np.linspace(0, 2 * np.pi, 32, endpoint=False),
                          np.ones((32, 32)), np.ones((32, 32), dtype=bool))
     assert phase_marginal_variance(flat) == pytest.approx(1.0, abs=1e-12)
     # delta at phi = 0: variance 0
     vals = np.zeros((32, 32))
     vals[0, 0] = 1.0
-    delta = ScalarField2D("phi1", flat.axis1, "phi2", flat.axis2, vals,
-                          flat.mask)
+    delta = ScalarField2D(flat.axis1, flat.axis2, vals, flat.mask)
     assert phase_marginal_variance(delta) == pytest.approx(0.0, abs=1e-12)
     assert phase_marginal_variance(delta, axis=1) == pytest.approx(0.0,
                                                                    abs=1e-12)
@@ -160,7 +159,7 @@ def test_count_local_maxima_synthetic():
              + np.exp(-((xx + 0.5) ** 2 + (yy - 0.4) ** 2) / 0.01)
              + np.exp(-((xx + 0.2) ** 2 + (yy + 0.5) ** 2) / 0.01))
     mask = np.ones_like(three, dtype=bool)
-    field = ScalarField2D("x", x, "y", x, three, mask)
+    field = ScalarField2D(x, x, three, mask)
     assert count_local_maxima(field, 0.2) == 3
     # raising the threshold above the relative peak heights removes none here,
     # but an invalid threshold is rejected
@@ -173,6 +172,6 @@ def test_count_local_maxima_synthetic():
 def test_count_local_maxima_plateau_merged():
     vals = np.zeros((9, 9))
     vals[4, 4] = vals[4, 5] = 1.0          # two tied cells form one plateau
-    field = ScalarField2D("x", np.arange(9.0), "y", np.arange(9.0), vals,
+    field = ScalarField2D(np.arange(9.0), np.arange(9.0), vals,
                           np.ones((9, 9), dtype=bool))
     assert count_local_maxima(field, 0.5) == 1

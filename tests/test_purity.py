@@ -9,7 +9,7 @@ import oracles
 from oracles import (ConsistencyError, algebra_purity_constant,
                      algebra_reduced_purity, orthonormal_generator_basis)
 from triwell import purity, spectral
-from triwell.algebra import ModelParams, model_context
+from triwell.algebra import HamiltonianTerms, ModelParams, model_context
 from triwell.coherent import ClassicalPoint, QuantumState, coherent_state
 from triwell.errors import BracketingError
 from triwell.purity import (critical_chi_q, generalized_purity,
@@ -167,6 +167,30 @@ def test_exact_derivative_needs_two_particles():
         purity_derivative(-1.0, 0.0, 1, 0.0)
 
 
+def test_purity_derivative_builds_the_a1_hamiltonian_once(monkeypatch):
+    """The bordered solve reuses the matrix the eigensolve built."""
+    calls = []
+    build = HamiltonianTerms.hamiltonian
+
+    def counted(self, params):
+        calls.append(self.dimension)
+        return build(self, params)
+
+    purity_derivative(-1.0, 0.0, 10, 2.2)      # warm the model context
+    monkeypatch.setattr(HamiltonianTerms, "hamiltonian", counted)
+    purity_derivative(-1.0, 0.0, 10, 2.3)
+    assert calls == [model_context(10).sectors[0].terms.dimension]
+
+
+def centered(fake_purity):
+    """dP/dchi of a synthetic purity as ``critical_chi_q`` takes it off the
+    A1 route."""
+    def deriv(chi):
+        return ((fake_purity(chi + purity._STEP)
+                 - fake_purity(chi - purity._STEP)) / (2.0 * purity._STEP))
+    return deriv
+
+
 def test_critical_chi_synthetic_oracle():
     """An analytic purity with known steepest-descent point is recovered."""
     center = 2.31
@@ -174,8 +198,7 @@ def test_critical_chi_synthetic_oracle():
     def fake_purity(chi):
         return 1.0 - np.tanh(5.0 * (chi - center)) / 2.0
 
-    found = critical_chi_q(-1.0, 0.0, 10, (1.5, 3.0), tol=1e-5,
-                           purity_fn=fake_purity)
+    found = purity._window_minimum(centered(fake_purity), (1.5, 3.0), 1e-5)
     assert found == pytest.approx(center, abs=1e-4)
 
 
@@ -184,7 +207,7 @@ def test_critical_chi_boundary_detection():
         return -chi ** 2  # derivative minimum at the right edge
 
     with pytest.raises(BracketingError):
-        critical_chi_q(-1.0, 0.0, 10, (0.0, 1.0), purity_fn=fake_purity)
+        purity._window_minimum(centered(fake_purity), (0.0, 1.0), 1e-3)
 
 
 def test_critical_chi_tied_coarse_minimum():
@@ -194,7 +217,7 @@ def test_critical_chi_tied_coarse_minimum():
         return -min(max(math.floor(chi), 10), 12)
 
     with pytest.raises(BracketingError):
-        critical_chi_q(-1.0, 0.0, 30, (0.0, 24.0), purity_fn=steps)
+        purity._window_minimum(centered(steps), (0.0, 24.0), 1e-3)
 
 
 @pytest.mark.parametrize("f, xs, tol", [
