@@ -2,8 +2,10 @@
 
 Every data file is CSV with a header row and shortest round-trip float
 formatting, paired with a JSON metadata sidecar carrying the fully resolved
-parameter set.  Reruns with identical configuration produce byte-identical
-CSV; wall times live only in the sidecars.
+parameter set, the command name, the version and the command's wall time.
+Reruns with identical configuration produce byte-identical CSV; wall times
+live only in the sidecars.  ``main`` writes the files once the command has
+done all of its work, so a failed command writes none.
 
 Exit codes: 0 success, 2 usage error (a malformed or out-of-range value:
 ``UsageError`` or ``ValueError``), 3 numerical failure
@@ -76,20 +78,7 @@ def write_csv(path: Path, header, columns):
 
 
 def write_metadata(path: Path, payload: dict):
-    payload = dict(payload)
-    payload["triwell_version"] = __version__
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               default=_json_default) + "\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _params_dict(params: ModelParams) -> dict:
@@ -114,12 +103,6 @@ def resolve_params(args, n_particles: int) -> ModelParams:
                                     args.mu or 0.0, n_particles)
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _single_n(args) -> int:
     if len(args.n) != 1:
         raise UsageError("this command takes exactly one --n value")
@@ -128,51 +111,50 @@ def _single_n(args) -> int:
 
 # ---------------------------------------------------------------------------
 # Commands
+#
+# A command computes everything and returns its output files by name, CSVs
+# first: a ``.csv`` name maps to (header, columns), a ``.meta.json`` name to
+# the sidecar payload.  ``main`` writes them, so a failed command writes
+# nothing.
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> dict:
     n = _single_n(args)
     params = resolve_params(args, n)
-    t0 = time.perf_counter()
     result = spectrum(params, args.k)
-    out = _outdir(args)
-    write_csv(out / "spectrum.csv", ["index", "energy", "residual"],
-              [range(args.k), result.eigenvalues[:args.k],
-               result.residuals[:args.k]])
-    write_metadata(out / "spectrum.meta.json", {
-        "command": "spectrum",
-        "params": _params_dict(params),
-        "k": args.k,
-        "max_residual": float(np.max(result.residuals)),
-        "labels": list(result.labels),
-        "sector_gap": result.sector_gap,
-        "wall_time_s": time.perf_counter() - t0,
-    })
-    return 0
+    return {
+        "spectrum.csv": (["index", "energy", "residual"],
+                         [range(args.k), result.eigenvalues[:args.k],
+                          result.residuals[:args.k]]),
+        "spectrum.meta.json": {
+            "params": _params_dict(params),
+            "k": args.k,
+            "max_residual": float(np.max(result.residuals)),
+            "labels": list(result.labels),
+            "sector_gap": result.sector_gap,
+        },
+    }
 
 
-def cmd_purity_scan(args) -> int:
+def cmd_purity_scan(args) -> dict:
     if args.chi_steps < 1 or args.chi_max <= args.chi_min:
         raise UsageError("need chi_min < chi_max and at least one step")
+    mu = args.mu or 0.0
     grid = np.linspace(args.chi_min, args.chi_max, args.chi_steps)
-    out = _outdir(args)
-    t0 = time.perf_counter()
+    files, sidecars = {}, {}
     for n in args.n:
-        scan = purity_scan(args.omega, args.mu or 0.0, n, grid,
-                           workers=args.workers)
-        write_csv(out / f"purity_N{n}.csv", ["chi", "purity", "dP_dchi"],
-                  [scan.chi_grid, scan.purity, scan.derivative])
-        write_metadata(out / f"purity_N{n}.meta.json", {
-            "command": "purity-scan",
-            "params": {"omega": args.omega, "mu": args.mu or 0.0,
-                       "n_particles": n},
+        scan = purity_scan(args.omega, mu, n, grid, workers=args.workers)
+        files[f"purity_N{n}.csv"] = (["chi", "purity", "dP_dchi"],
+                                     [scan.chi_grid, scan.purity,
+                                      scan.derivative])
+        sidecars[f"purity_N{n}.meta.json"] = {
+            "params": {"omega": args.omega, "mu": mu, "n_particles": n},
             "chi_grid": {"min": args.chi_min, "max": args.chi_max,
                          "steps": args.chi_steps},
-            "purity_route": purity_route(args.omega, args.mu or 0.0),
+            "purity_route": purity_route(args.omega, mu),
             "workers": args.workers,
-            "wall_time_s": time.perf_counter() - t0,
-        })
-    return 0
+        }
+    return files | sidecars
 
 
 def _scaling_task(task):
@@ -180,21 +162,16 @@ def _scaling_task(task):
     return n, critical_chi_q(omega, mu, n, window, tol=tol)
 
 
-def cmd_scaling(args) -> int:
+def cmd_scaling(args) -> dict:
     if len(args.n) < 2:
         raise UsageError("scaling requires at least two --n values")
     mu = args.mu or 0.0
     window = (args.window_min, args.window_max)
     tasks = [(args.omega, mu, n, window, args.tol) for n in args.n]
-    t0 = time.perf_counter()
     results = dict(map_tasks(_scaling_task, tasks, args.workers))
     ns = sorted(results)
     chi_cq = [results[n] for n in ns]
-    fit = power_law_fit(ns, chi_cq, args.chi_c) if len(ns) >= 3 else None
-    out = _outdir(args)
-    write_csv(out / "scaling.csv", ["n", "chi_cq"], [ns, chi_cq])
-    payload = {
-        "command": "scaling",
+    meta = {
         "params": {"omega": args.omega, "mu": mu, "chi_c": args.chi_c},
         "n_values": ns,
         "window": list(window),
@@ -202,83 +179,74 @@ def cmd_scaling(args) -> int:
         "purity_route": purity_route(args.omega, mu),
         "derivative": derivative_method(args.omega, mu),
         "workers": args.workers,
-        "wall_time_s": time.perf_counter() - t0,
     }
-    if fit is not None:
-        payload["fit"] = {
+    if len(ns) >= 3:
+        fit = power_law_fit(ns, chi_cq, args.chi_c)
+        meta["fit"] = {
             "exponent": fit.exponent,
             "exponent_stderr": fit.exponent_stderr,
             "ln_prefactor": fit.ln_prefactor,
             "ln_prefactor_stderr": fit.ln_prefactor_stderr,
-            "residuals": fit.residuals,
+            "residuals": fit.residuals.tolist(),
         }
-    write_metadata(out / "scaling.meta.json", payload)
-    return 0
+    return {"scaling.csv": (["n", "chi_cq"], [ns, chi_cq]),
+            "scaling.meta.json": meta}
 
 
-def cmd_fields(args) -> int:
+def cmd_fields(args) -> dict:
     from .distributions import (count_local_maxima, husimi_population,
                                 phase_distribution, phase_marginal_variance)
 
     n = _single_n(args)
     params = resolve_params(args, n)
-    t0 = time.perf_counter()
     result = spectrum(params, 1)
     state = result.states[0]
     i_grid = np.linspace(0.0, float(n), args.pop_grid)
     husimi = husimi_population(state, i_grid, i_grid)
     phi_grid = 2.0 * np.pi * np.arange(args.phase_grid) / args.phase_grid
     phases = phase_distribution(state, phi_grid, phi_grid)
-    out = _outdir(args)
     valid = husimi.mask.ravel()
-    write_csv(out / "husimi.csv", ["i1", "i2", "q"],
-              [np.repeat(i_grid, args.pop_grid)[valid],
-               np.tile(i_grid, args.pop_grid)[valid],
-               husimi.values.ravel()[valid]])
-    write_csv(out / "phase.csv", ["phi1", "phi2", "density"],
-              [np.repeat(phi_grid, args.phase_grid),
-               np.tile(phi_grid, args.phase_grid), phases.values.ravel()])
-    write_metadata(out / "fields.meta.json", {
-        "command": "fields",
-        "params": _params_dict(params),
-        "pop_grid": args.pop_grid,
-        "phase_grid": args.phase_grid,
-        "labels": list(result.labels),
-        "sector_gap": result.sector_gap,
-        "husimi_maxima_rel02": count_local_maxima(husimi, 0.2),
-        "phase_circular_variance": phase_marginal_variance(phases),
-        "wall_time_s": time.perf_counter() - t0,
-    })
-    return 0
+    return {
+        "husimi.csv": (["i1", "i2", "q"],
+                       [np.repeat(i_grid, args.pop_grid)[valid],
+                        np.tile(i_grid, args.pop_grid)[valid],
+                        husimi.values.ravel()[valid]]),
+        "phase.csv": (["phi1", "phi2", "density"],
+                      [np.repeat(phi_grid, args.phase_grid),
+                       np.tile(phi_grid, args.phase_grid),
+                       phases.values.ravel()]),
+        "fields.meta.json": {
+            "params": _params_dict(params),
+            "pop_grid": args.pop_grid,
+            "phase_grid": args.phase_grid,
+            "labels": list(result.labels),
+            "sector_gap": result.sector_gap,
+            "husimi_maxima_rel02": count_local_maxima(husimi, 0.2),
+            "phase_circular_variance": phase_marginal_variance(phases),
+        },
+    }
 
 
-def cmd_fixed_points(args) -> int:
+def cmd_fixed_points(args) -> dict:
     if args.chi_scan is not None and (args.kappa is not None
                                       or args.lam is not None):
         raise UsageError("--chi-scan reads --mu only; it does not take "
                          "--kappa or --lam")
     n = _single_n(args)
     params = resolve_params(args, n)
-    t0 = time.perf_counter()
     records = find_fixed_points(params, replicate=args.replicate)
-    out = _outdir(args)
     pts = [rec.point for rec in records]
-    write_csv(out / "fixed_points.csv",
-              ["label", "sector", "w1_re", "w1_im", "w2_re", "w2_im",
-               "theta", "i_z", "energy_per_particle", "stability",
-               "gradient_norm"],
-              [[rec.label for rec in records], [rec.sector for rec in records],
-               [p.w1.real for p in pts], [p.w1.imag for p in pts],
-               [p.w2.real for p in pts], [p.w2.imag for p in pts],
-               [p.theta for p in pts], [p.i_z for p in pts],
-               [rec.energy_per_particle for rec in records],
-               [rec.stability for rec in records],
-               [rec.gradient_norm for rec in records]])
-    meta = {
-        "command": "fixed-points",
-        "params": _params_dict(params),
-        "wall_time_s": time.perf_counter() - t0,
-    }
+    files = {"fixed_points.csv": (
+        ["label", "sector", "w1_re", "w1_im", "w2_re", "w2_im", "theta",
+         "i_z", "energy_per_particle", "stability", "gradient_norm"],
+        [[rec.label for rec in records], [rec.sector for rec in records],
+         [p.w1.real for p in pts], [p.w1.imag for p in pts],
+         [p.w2.real for p in pts], [p.w2.imag for p in pts],
+         [p.theta for p in pts], [p.i_z for p in pts],
+         [rec.energy_per_particle for rec in records],
+         [rec.stability for rec in records],
+         [rec.gradient_norm for rec in records]])}
+    meta = {"params": _params_dict(params)}
     if args.chi_scan is not None:
         lo, hi, steps = args.chi_scan
         chis = np.linspace(lo, hi, int(steps))
@@ -290,37 +258,32 @@ def cmd_fixed_points(args) -> int:
             for rec in find_fixed_points(scan_params):
                 if rec.label in branch:
                     branch[rec.label][k] = rec.energy_per_particle
-        write_csv(out / "branch_energies.csv",
-                  ["chi", "kappa", "h_1p", "h_2p", "h_3p", "h_4p",
-                   "gap_1p_4p"],
-                  [chis, chis * args.omega / (n - 1), *branch.values(),
-                   branch["1+"] - branch["4+"]])
+        files["branch_energies.csv"] = (
+            ["chi", "kappa", "h_1p", "h_2p", "h_3p", "h_4p", "gap_1p_4p"],
+            [chis, chis * args.omega / (n - 1), *branch.values(),
+             branch["1+"] - branch["4+"]])
         meta["chi_scan"] = {"min": lo, "max": hi, "steps": int(steps)}
-    write_metadata(out / "fixed_points.meta.json", meta)
-    return 0
+    files["fixed_points.meta.json"] = meta
+    return files
 
 
-def cmd_trajectory(args) -> int:
+def cmd_trajectory(args) -> dict:
     if not (0 < args.t_max < math.inf and 0 < args.dt < math.inf):
         raise UsageError("--t-max and --dt must be positive and finite")
     n = _single_n(args)
     params = resolve_params(args, n)
     inits = args.init or [(1.9106332362490186, 0.0)]
-    out = _outdir(args)
-    t0 = time.perf_counter()
-    runs = []
+    files, runs = {}, []
     for idx, (theta, phi) in enumerate(inits):
         start = ClassicalPoint.from_twin_angles(theta, phi)
         traj = integrate_trajectory(start, params, args.t_max, args.dt)
         name = f"trajectory_{idx:03d}.csv"
-        write_csv(out / name,
-                  ["t", "i1", "i2", "phi1", "phi2", "i_z", "energy"],
-                  [traj.times, *traj.canonical_arrays(), traj.i_z(),
-                   traj.energies])
+        files[name] = (["t", "i1", "i2", "phi1", "phi2", "i_z", "energy"],
+                       [traj.times, *traj.point.canonical(n),
+                        traj.point.i_z, traj.energies])
         runs.append({"file": name, "rtol": traj.rtol,
                      "relative_energy_drift": traj.relative_energy_drift})
-    write_metadata(out / "trajectory.meta.json", {
-        "command": "trajectory",
+    files["trajectory.meta.json"] = {
         "params": _params_dict(params),
         "initial_conditions": [list(ic) for ic in inits],
         "t_max": args.t_max,
@@ -328,38 +291,32 @@ def cmd_trajectory(args) -> int:
         "trajectories": runs,
         "max_relative_energy_drift": max(r["relative_energy_drift"]
                                          for r in runs),
-        "wall_time_s": time.perf_counter() - t0,
-    })
-    return 0
+    }
+    return files
 
 
-def cmd_theta_min(args) -> int:
+def cmd_theta_min(args) -> dict:
     if args.chi_steps < 2 or args.chi_max <= args.chi_min:
         raise UsageError("need chi_min < chi_max and at least two steps")
     mu = args.mu or 0.0
     grid = np.linspace(args.chi_min, args.chi_max, args.chi_steps)
-    t0 = time.perf_counter()
     rows = theta_min_analysis(grid, mu=mu, omega=args.omega)
-    out = _outdir(args)
     n_ref = _single_n(args)
-    write_csv(out / "theta_min.csv",
-              ["chi", "kappa", "theta_min", "h_min_per_particle", "dh_dchi",
-               "d2h_dchi2", "h1_at_min", "first_order_residual",
-               "degenerate"],
-              [grid, grid * args.omega / (n_ref - 1),
-               *([getattr(r, f) for r in rows]
-                 for f in ("theta_min", "h_min", "dh_dchi", "d2h_dchi2",
-                           "h1_at_min", "first_order_residual",
-                           "degenerate"))])
-    write_metadata(out / "theta_min.meta.json", {
-        "command": "theta-min",
-        "params": {"omega": args.omega, "mu": mu, "n_reference": n_ref},
-        "chi_grid": {"min": args.chi_min, "max": args.chi_max,
-                     "steps": args.chi_steps},
-        "wall_time_s": time.perf_counter() - t0,
-    })
-    return 0
-
+    return {
+        "theta_min.csv": (
+            ["chi", "kappa", "theta_min", "h_min_per_particle", "dh_dchi",
+             "d2h_dchi2", "h1_at_min", "first_order_residual", "degenerate"],
+            [grid, grid * args.omega / (n_ref - 1),
+             *([getattr(r, f) for r in rows]
+               for f in ("theta_min", "h_min", "dh_dchi", "d2h_dchi2",
+                         "h1_at_min", "first_order_residual",
+                         "degenerate"))]),
+        "theta_min.meta.json": {
+            "params": {"omega": args.omega, "mu": mu, "n_reference": n_ref},
+            "chi_grid": {"min": args.chi_min, "max": args.chi_max,
+                         "steps": args.chi_steps},
+        },
+    }
 
 # ---------------------------------------------------------------------------
 # Parser
@@ -491,7 +448,18 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(_with_config(argv))
-        return args.func(args)
+        t0 = time.perf_counter()
+        files = args.func(args)
+        stamp = {"command": args.command, "triwell_version": __version__,
+                 "wall_time_s": time.perf_counter() - t0}
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            if name.endswith(".csv"):
+                write_csv(out / name, *content)
+            else:
+                write_metadata(out / name, {**content, **stamp})
+        return 0
     # LinAlgError (a LAPACK failure) subclasses ValueError; catch it first.
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -41,15 +41,10 @@ class PurityScan:
     chi_grid: np.ndarray
     purity: np.ndarray
     derivative: np.ndarray          # centered differences, grid interior
-    omega: float
-    mu: float
-    n_particles: int
 
 
 @dataclass(frozen=True)
 class ScalingFit:
-    n_values: np.ndarray
-    chi_cq: np.ndarray
     ln_prefactor: float
     ln_prefactor_stderr: float
     exponent: float
@@ -168,7 +163,7 @@ def purity_scan(omega: float, mu: float, n_particles: int, chi_grid,
     derivative = np.full_like(purity, np.nan)
     if grid.size >= 3:
         derivative[1:-1] = (purity[2:] - purity[:-2]) / (grid[2:] - grid[:-2])
-    return PurityScan(grid, purity, derivative, omega, mu, n_particles)
+    return PurityScan(grid, purity, derivative)
 
 
 # Half-width of the centered difference for dP/dchi off the A1 route.
@@ -269,8 +264,6 @@ def power_law_fit(n_values, chi_cq_values, chi_c: float) -> ScalingFit:
     intercept = np.mean(y) - slope * np.mean(x)
     slope_stderr = np.sqrt((1 - r ** 2) * syy / sxx / (ns.size - 2))
     return ScalingFit(
-        n_values=ns.astype(int),
-        chi_cq=cq,
         ln_prefactor=float(intercept),
         ln_prefactor_stderr=float(
             slope_stderr * np.sqrt(sxx + np.mean(x) ** 2)),

@@ -42,7 +42,6 @@ class FixedPointRecord:
     stability: str                 # stable-center or unstable
     sector: str                    # twin restriction containing the point
     gradient_norm: float
-    eigenvalues: np.ndarray        # linearization spectrum
 
 
 @dataclass(frozen=True)
@@ -57,13 +56,6 @@ class Trajectory:
     def relative_energy_drift(self) -> float:
         e0 = self.energies[0]
         return float(np.max(np.abs(self.energies - e0)) / max(1.0, abs(e0)))
-
-    def canonical_arrays(self):
-        """(I1, I2, phi1, phi2) along the trajectory."""
-        return self.point.canonical(self.params.n_particles)
-
-    def i_z(self) -> np.ndarray:
-        return self.point.i_z
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +333,6 @@ def _record_for(point: ClassicalPoint, params: ModelParams,
         stability=_classify_stability(eigs),
         sector=sector,
         gradient_norm=gnorm,
-        eigenvalues=eigs,
     )
 
 
@@ -418,7 +409,7 @@ class ThetaMinRow:
     degenerate: bool               # flagged at the crossing point
 
 
-def twin_quadratic_portion(w, mu: float, omega: float = -1.0):
+def twin_quadratic_portion(w, omega: float = -1.0):
     """H1/N: the chi-coefficient of the reduced twin energy (per particle)."""
     w = np.asarray(w, dtype=float)
     d = 2.0 * w ** 2 + 1.0
@@ -452,7 +443,7 @@ def theta_min_analysis(chi_values, mu: float = 0.0, omega: float = -1.0,
         e_m = _twin_minimum(chi - fd_step, mu, omega)[1]
         dh = (e_p - e_m) / (2.0 * fd_step)
         d2h = (e_p - 2.0 * e_min + e_m) / fd_step ** 2
-        h1 = float(twin_quadratic_portion(w_min, mu, omega))
+        h1 = float(twin_quadratic_portion(w_min, omega))
         rows.append(ThetaMinRow(
             chi=float(chi),
             theta_min=ClassicalPoint.from_twin_w(w_min).theta,

@@ -129,14 +129,14 @@ def test_criterion_08_dynamical_regimes(capsys):
             theta_star + radius * np.cos(angle), radius * np.sin(angle))
         traj = integrate_trajectory(start, params_ro, 100.0, 0.05)
         worst_dev = max(worst_dev,
-                        abs(float(np.mean(traj.i_z())) - 1.0 / 3.0))
+                        abs(float(np.mean(traj.point.i_z)) - 1.0 / 3.0))
         worst_drift = max(worst_drift, traj.relative_energy_drift)
     params_mst = ModelParams.from_reduced(-1.0, 3.0, 0.0, n)
     w4 = [r for r in find_fixed_points(params_mst) if r.label == "4+"]
     start = ClassicalPoint.from_twin_w(float(w4[0].point.w1.real) + 0.05)
     traj = integrate_trajectory(start, params_mst, 100.0, 0.05)
     worst_drift = max(worst_drift, traj.relative_energy_drift)
-    iz_max = float(np.max(traj.i_z()))
+    iz_max = float(np.max(traj.point.i_z))
     ok = worst_dev < 0.1 and iz_max < 0.0 and worst_drift <= 1e-8
     report(capsys, 8, "dynamical regimes", ok,
            f"RO max |mean Iz - 1/3| = {worst_dev:.4f} (< 0.1), "

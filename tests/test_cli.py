@@ -14,6 +14,14 @@ def read(path):
     return path.read_text()
 
 
+def read_sidecar(path, command):
+    """A JSON sidecar, after checking the stamp ``main`` puts on each one."""
+    meta = json.loads(read(path))
+    assert meta["command"] == command
+    assert "triwell_version" in meta and meta["wall_time_s"] >= 0.0
+    return meta
+
+
 def test_write_csv_bytes(tmp_path):
     """Columns are written exactly as the row-by-row ``_fmt`` form."""
     floats = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 0.1, 0.1])
@@ -88,7 +96,7 @@ def test_spectrum_outputs_and_metadata(tmp_path):
     lines = read(out / "spectrum.csv").splitlines()
     assert lines[0] == "index,energy,residual"
     assert len(lines) == 4
-    meta = json.loads(read(out / "spectrum.meta.json"))
+    meta = read_sidecar(out / "spectrum.meta.json", "spectrum")
     assert meta["params"]["n_particles"] == 10
     assert meta["params"]["chi"] == pytest.approx(1.0)
     assert meta["max_residual"] < 1e-10
@@ -120,6 +128,18 @@ def test_purity_scan_fans_out_per_n(tmp_path):
     assert (out / "purity_N4.csv").exists()
     assert (out / "purity_N6.csv").exists()
     assert (out / "purity_N4.meta.json").exists()
+    # one wall time, the whole command's, in every sidecar
+    times = {read_sidecar(out / f"purity_N{n}.meta.json",
+                          "purity-scan")["wall_time_s"] for n in (4, 6)}
+    assert len(times) == 1
+
+
+def test_failed_command_writes_nothing(tmp_path, capsys):
+    """N = 0 fails after N = 4 is done; nothing of N = 4 is left behind."""
+    assert main(["purity-scan", "--n", "4", "0", "--chi-steps", "3",
+                 "--out", str(tmp_path)]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_mutually_exclusive_parameterizations(tmp_path):
@@ -259,6 +279,7 @@ def test_fixed_points_table_and_branch_scan(tmp_path):
     gaps = [float(line.split(",")[-1]) for line in branch[1:]]
     finite = [g for g in gaps if g == g]
     assert any(g > 0 for g in finite)
+    read_sidecar(out / "fixed_points.meta.json", "fixed-points")
 
 
 def test_trajectory_files_and_drift(tmp_path):
@@ -269,7 +290,7 @@ def test_trajectory_files_and_drift(tmp_path):
     assert code == 0
     assert (out / "trajectory_000.csv").exists()
     assert (out / "trajectory_001.csv").exists()
-    meta = json.loads(read(out / "trajectory.meta.json"))
+    meta = read_sidecar(out / "trajectory.meta.json", "trajectory")
     assert meta["max_relative_energy_drift"] < 1e-8
     header = read(out / "trajectory_000.csv").splitlines()[0]
     assert header == "t,i1,i2,phi1,phi2,i_z,energy"
@@ -315,6 +336,7 @@ def test_theta_min_csv(tmp_path):
     flags = {float(r[0]): r[-1] for r in rows}
     assert flags[2.0] == "1"
     assert flags[1.8] == "0"
+    read_sidecar(out / "theta_min.meta.json", "theta-min")
 
 
 def test_fields_metadata_counts(tmp_path):
@@ -322,7 +344,7 @@ def test_fields_metadata_counts(tmp_path):
     code = main(["fields", "--n", "12", "--chi", "3.0", "--pop-grid", "31",
                  "--phase-grid", "32", "--out", str(out)])
     assert code == 0
-    meta = json.loads(read(out / "fields.meta.json"))
+    meta = read_sidecar(out / "fields.meta.json", "fields")
     assert meta["husimi_maxima_rel02"] == 3
     assert 0.0 <= meta["phase_circular_variance"] <= 1.0
     husimi_lines = read(out / "husimi.csv").splitlines()
@@ -357,7 +379,7 @@ def test_sidecars_record_purity_route(tmp_path, omega, route, derivative):
     common = ["--omega", repr(omega), "--out", str(tmp_path)]
     assert main(["scaling", "--n", "6", "8", "--window-min", "0.5",
                  "--window-max", "3.2", *common]) == 0
-    meta = json.loads(read(tmp_path / "scaling.meta.json"))
+    meta = read_sidecar(tmp_path / "scaling.meta.json", "scaling")
     assert meta["purity_route"] == route
     assert meta["derivative"] == derivative
     assert read(tmp_path / "scaling.csv").splitlines()[0] == "n,chi_cq"

@@ -350,7 +350,7 @@ def test_trajectory_stays_near_stable_center():
     theta_star = 2.0 * np.arctan(np.sqrt(2.0))
     start = ClassicalPoint.from_twin_angles(theta_star + 0.05, 0.0)
     traj = integrate_trajectory(start, params, 40.0, 0.05)
-    assert np.max(np.abs(traj.i_z() - 1.0 / 3.0)) < 0.1
+    assert np.max(np.abs(traj.point.i_z - 1.0 / 3.0)) < 0.1
 
 
 def test_theta_min_analysis_identities():
@@ -379,4 +379,4 @@ def test_theta_min_second_derivative_cross_check():
 
 def test_twin_quadratic_portion_value():
     # at w = 1 (symmetric point) the quadratic portion is omega/3
-    assert twin_quadratic_portion(1.0, 0.0, -1.0) == pytest.approx(-1.0 / 3.0)
+    assert twin_quadratic_portion(1.0, -1.0) == pytest.approx(-1.0 / 3.0)
