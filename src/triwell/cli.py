@@ -28,8 +28,7 @@ import numpy as np
 from . import __version__
 from .algebra import ModelParams
 from .errors import NumericalError
-from .purity import (critical_chi_q, derivative_method, map_tasks,
-                     power_law_fit, purity_route, purity_scan)
+from .purity import critical_chi_q, map_tasks, power_law_fit, purity_scan
 from .semiclassical import (ClassicalPoint, find_fixed_points,
                             integrate_trajectory, theta_min_analysis)
 from .spectral import spectrum
@@ -151,7 +150,6 @@ def cmd_purity_scan(args) -> dict:
             "params": {"omega": args.omega, "mu": mu, "n_particles": n},
             "chi_grid": {"min": args.chi_min, "max": args.chi_max,
                          "steps": args.chi_steps},
-            "purity_route": purity_route(args.omega, mu),
             "workers": args.workers,
         }
     return files | sidecars
@@ -176,8 +174,6 @@ def cmd_scaling(args) -> dict:
         "n_values": ns,
         "window": list(window),
         "tolerance": args.tol,
-        "purity_route": purity_route(args.omega, mu),
-        "derivative": derivative_method(args.omega, mu),
         "workers": args.workers,
     }
     if len(ns) >= 3:

@@ -5,22 +5,22 @@ as particle entanglement builds up across the transition; the minimizer of
 dP/dchi defines the scalable quantum critical parameter chi_c^q(N), which
 approaches the semiclassical critical value as a power law in N.
 
-Where Perron-Frobenius puts the ground state in the A1 sector (omega < 0,
-mu = 0) the purity needs only the real A1 block vector v: Q1 and Q2
-transform as E, so their expectations vanish; the J are imaginary
-antisymmetric, so theirs vanish on a real state; and P1, P2, P3 share
-<T>/3, where T = P1 + P2 + P3 is the tunneling term.  Hence
-P = <T>^2 / (4 N^2).  Its chi-derivative is exact first-order perturbation
-theory on the same block: with H = omega T + kappa K and
-kappa = chi omega / (N - 1),
+The ground level lies in one S3 sector (A1 wherever Perron-Frobenius
+applies: omega < 0, mu = 0).  Its state is S3-symmetric: the real vector v
+of a one-dimensional sector, or, for an E doublet, the mixture
+(|e1><e1| + |e2><e2|) / 2 of the two partners, which share the E-block
+vector v.  On such a state Q1 and Q2, which transform as E, have zero
+expectation; the J, imaginary antisymmetric, vanish on real vectors; and
+P1, P2, P3 share <T>/3, where T = P1 + P2 + P3 is the tunneling term.
+Hence P = <T>^2 / (4 N^2) with <T> = v^T T v on the sector's block.  At
+fixed mu, dH/dchi = omega / (N - 1) K, so first-order perturbation theory
+on the same block gives the exact chi-derivative
 
     dP/dchi = <T> / (2 N^2) * d<T>/dchi,
     d<T>/dchi = -2 omega / (N - 1) * x^T K v,
 
 where x = (H - E0)^+ T v solves the bordered system
-[[H - E0, v], [v^T, 0]] [x; l] = [T v; 0].  Every other (omega, mu) takes
-the eight generator expectations of the ``spectrum`` ground state and a
-centered difference for dP/dchi (``purity_route`` names the route).
+[[H - E0, v], [v^T, 0]] [x; l] = [T v; 0].
 """
 
 from __future__ import annotations
@@ -76,55 +76,56 @@ def generalized_purity(state: QuantumState, gens: tuple,
     return 9.0 / n_particles ** 2 * total
 
 
-def purity_route(omega: float, mu: float) -> str:
-    """"a1_tunneling" where the ground state is provably A1 (omega < 0,
-    mu = 0), else "generators"."""
-    return "a1_tunneling" if omega < 0 and mu == 0 else "generators"
+def _ground_block(omega: float, mu: float, n_particles: int, chi: float):
+    """(sector label, block Hamiltonian as CSR, E0, real block vector v,
+    T v, K v) of the ground level's S3 sector.
 
-
-def derivative_method(omega: float, mu: float) -> str:
-    """How ``critical_chi_q`` takes dP/dchi of the ground-state purity:
-    "exact" on the A1 route, else "centered_difference"."""
-    return ("exact" if purity_route(omega, mu) == "a1_tunneling"
-            else "centered_difference")
-
-
-def _a1_ground_state(omega: float, n_particles: int, chi: float):
-    """(A1 block Hamiltonian as CSR, E0, real block vector v, T v, K v)
-    at mu = 0."""
-    params = ModelParams.from_reduced(omega, chi, 0.0, n_particles)
-    a1 = model_context(n_particles).sectors[0].terms
-    vals, vecs, h = spectral.eigensolve_lowest(a1, params, 1)
-    v = vecs[:, 0]
-    tv, kv = np.split(a1.tunneling_collision @ v, 2)
-    return h, float(vals[0]), v, tv, kv
+    Where Perron-Frobenius proves an A1 ground state (omega < 0, mu = 0)
+    only the A1 block is solved; elsewhere each sector's lowest level is,
+    and ``spectral.sector_order`` picks the ground level among them.
+    """
+    params = ModelParams.from_reduced(omega, chi, mu, n_particles)
+    sectors = model_context(n_particles).sectors
+    if omega < 0 and mu == 0:
+        sectors = sectors[:1]
+    levels = []
+    for sector in sectors:
+        vals, vecs, h = spectral.eigensolve_lowest(sector.terms, params, 1)
+        levels.append((float(vals[0]), sector.label, h, vecs[:, 0],
+                       sector.terms))
+    if len(levels) > 1:
+        levels = spectral.sector_order(levels)
+    e0, label, h, v, terms = levels[0]
+    tv, kv = np.split(terms.tunneling_collision @ v, 2)
+    return label, h, e0, v, tv, kv
 
 
 def ground_state_purity(omega: float, mu: float, n_particles: int,
                         chi: float) -> float:
-    """Generalized purity of the ground state at reduced parameters."""
+    """Generalized purity of the ground level at reduced parameters; an E
+    doublet counts as the mixture of its two partners."""
     if n_particles == 0:
         raise ValueError("purity is undefined for zero particles")
-    if purity_route(omega, mu) == "a1_tunneling":
-        _, _, v, tv, _ = _a1_ground_state(omega, n_particles, chi)
-        t = float(v @ tv)
-        return t * t / (4.0 * n_particles ** 2)
-    params = ModelParams.from_reduced(omega, chi, mu, n_particles)
-    _, state = spectral.ground_state(params)
-    ctx = model_context(n_particles)
-    return generalized_purity(state, ctx.gens, n_particles)
+    _, _, _, v, tv, _ = _ground_block(omega, mu, n_particles, chi)
+    t = float(v @ tv)
+    return t * t / (4.0 * n_particles ** 2)
 
 
 def purity_derivative(omega: float, mu: float, n_particles: int,
                       chi: float) -> float:
-    """Exact dP/dchi of the ground state on the A1 route (omega < 0,
-    mu = 0) for N >= 2; raises ValueError elsewhere."""
-    if purity_route(omega, mu) != "a1_tunneling" or n_particles < 2:
-        raise ValueError("the exact dP/dchi needs omega < 0, mu = 0, N >= 2")
-    h, e0, v, tv, kv = _a1_ground_state(omega, n_particles, chi)
+    """Exact dP/dchi of the ground level's purity for N >= 2."""
+    return _ground_derivative(omega, mu, n_particles, chi)[1]
+
+
+def _ground_derivative(omega: float, mu: float, n_particles: int,
+                       chi: float):
+    """(ground sector label, exact dP/dchi)."""
+    if n_particles < 2:
+        raise ValueError("the exact dP/dchi needs N >= 2")
+    label, h, e0, v, tv, kv = _ground_block(omega, mu, n_particles, chi)
     x = _bordered_solve(h.toarray(), e0, v, tv)
     dt_dchi = -2.0 * omega / (n_particles - 1) * float(x @ kv)
-    return float(v @ tv) / (2.0 * n_particles ** 2) * dt_dchi
+    return label, float(v @ tv) / (2.0 * n_particles ** 2) * dt_dchi
 
 
 def _bordered_solve(h: np.ndarray, e0: float, v: np.ndarray,
@@ -166,27 +167,25 @@ def purity_scan(omega: float, mu: float, n_particles: int, chi_grid,
     return PurityScan(grid, purity, derivative)
 
 
-# Half-width of the centered difference for dP/dchi off the A1 route.
-_STEP = 0.005
-
-
 def critical_chi_q(omega: float, mu: float, n_particles: int,
                    window: tuple, tol: float = 1e-3) -> float:
-    """Minimizer of dP/dchi of the ground-state purity inside the window,
-    refined to the tolerance (see ``_window_minimum``).
+    """Minimizer of the exact dP/dchi (``purity_derivative``) inside the
+    window, refined to the tolerance (see ``_window_minimum``).
 
-    On the A1 route (``derivative_method`` "exact") dP/dchi is
-    ``purity_derivative``; otherwise it is a centered difference of
-    half-width _STEP.
+    BracketingError if the ground level changes sector inside the window:
+    P jumps there, and no minimum is taken across the jump.
     """
-    if derivative_method(omega, mu) == "exact":
-        def deriv(chi):
-            return purity_derivative(omega, mu, n_particles, chi)
-    else:
-        def deriv(chi):
-            p_hi = ground_state_purity(omega, mu, n_particles, chi + _STEP)
-            p_lo = ground_state_purity(omega, mu, n_particles, chi - _STEP)
-            return (p_hi - p_lo) / (2.0 * _STEP)
+    labels = []
+
+    def deriv(chi):
+        label, value = _ground_derivative(omega, mu, n_particles, chi)
+        if labels and label != labels[0]:
+            raise BracketingError(
+                f"the ground level changes sector from {labels[0]} to "
+                f"{label} at chi={chi:g} inside the window")
+        labels.append(label)
+        return value
+
     return _window_minimum(deriv, window, tol)
 
 

@@ -233,23 +233,15 @@ def twin_energy_reduced(w, chi: float, mu: float):
             - 2.0 * mu * (4.0 * w ** 3 + 2.0 * w ** 2) / d ** 2)
 
 
-def _twin_gradient_polynomial(chi: float, mu: float) -> Polynomial:
-    """Numerator polynomial of d/dw of the reduced twin energy."""
-    w = Polynomial([0.0, 1.0])
-    d = 2.0 * w ** 2 + 1.0
-    n1 = (1.0 + 2.0 * mu) * (2.0 * w ** 2 + 4.0 * w)
-    n2 = chi * (2.0 * w ** 4 + 1.0) - 2.0 * mu * (4.0 * w ** 3 + 2.0 * w ** 2)
-    return ((n1.deriv() * d - n1 * d.deriv()) * d
-            + n2.deriv() * d - 2.0 * n2 * d.deriv())
-
-
-def twin_critical_points(chi: float, mu: float) -> np.ndarray:
-    """Real critical points of the reduced twin energy, ascending."""
-    poly = _twin_gradient_polynomial(chi, mu)
+def _twin_cubic_roots(chi: float, mu: float) -> list:
+    """Real roots, ascending and Newton-polished, of the cubic C in the
+    exact factorization -4 (w - 1) C(w) of the numerator of d/dw of the
+    reduced twin energy."""
+    poly = Polynomial([1.0 + 2.0 * mu, 2.0 - 2.0 * chi + 2.0 * mu,
+                       2.0 - 2.0 * chi - 4.0 * mu, 4.0 * (1.0 + mu)])
     roots = poly.roots()
     real = np.sort(np.unique(np.round(
         roots[np.abs(roots.imag) < 1e-8 * (1.0 + np.abs(roots))].real, 12)))
-    # Newton polish on the numerator polynomial.
     dpoly = poly.deriv()
     polished = []
     for r in real:
@@ -267,31 +259,39 @@ def twin_critical_points(chi: float, mu: float) -> np.ndarray:
     for x in sorted(polished):
         if not out or abs(x - out[-1]) > 1e-9 * max(1.0, abs(x)):
             out.append(x)
-    return np.asarray(out)
+    return out
+
+
+def twin_critical_points(chi: float, mu: float) -> np.ndarray:
+    """Real critical points of the reduced twin energy, ascending: w = 1
+    (one for every chi, mu) once, and the other real roots of C."""
+    others = [w for w in _twin_cubic_roots(chi, mu) if abs(w - 1.0) > 1e-9]
+    return np.array(sorted([1.0, *others]))
 
 
 def find_fixed_points(params: ModelParams,
                       replicate: bool = False) -> list:
-    """Twin-sector equilibria with labels and full 4-D stability.
+    """Twin-sector equilibria with labels and full 4-D stability, in
+    ascending w.
 
     Labels: 1+ is w = 1 (present for every chi, mu); 2+ is the persistent
-    companion root at negative w; 3+/4+ are the saddle-node pair, the
-    stable member being 4+.  ``replicate`` adds the two equivalent twin
-    sectors for every record.
+    companion root of C at negative w; 3+/4+ are the saddle-node pair of
+    C's other roots, the stable member being 4+.  On the line
+    chi = 9/4 + mu, C has the root w = 1, so a pair member meets 1+ there.
+    ``replicate`` adds the two equivalent twin sectors for every record.
     """
     chi, mu = params.chi, params.mu
-    roots = twin_critical_points(chi, mu)
+    roots = [(1.0, "1+")] + [(w, "2+" if w < 0.0 else None)
+                             for w in _twin_cubic_roots(chi, mu)]
     records = []
     pair = []
-    for w in roots:
-        point = ClassicalPoint.from_twin_w(w)
-        rec = _record_for(point, params, sector="w1=w2")
-        if abs(w - 1.0) < 1e-6:
-            rec = replace(rec, label="1+")
-        elif w < 0.0:
-            rec = replace(rec, label="2+")
-        else:
+    for w, label in sorted(roots, key=lambda root: root[0]):
+        rec = _record_for(ClassicalPoint.from_twin_w(w), params,
+                          sector="w1=w2")
+        if label is None:
             pair.append(rec)
+        else:
+            rec = replace(rec, label=label)
         records.append(rec)
     if len(pair) == 2:
         stable = [r for r in pair if r.stability == _STABLE]
@@ -302,9 +302,6 @@ def find_fixed_points(params: ModelParams,
         for i, rec in enumerate(records):
             if rec in pair:
                 records[i] = replace(rec, label="4+" if rec is four else "3+")
-    elif pair:
-        records = [(replace(r, label="other") if r in pair else r)
-                   for r in records]
     if replicate:
         extra = []
         for rec in records:
@@ -337,9 +334,8 @@ def _record_for(point: ClassicalPoint, params: ModelParams,
 
 
 def _positive_twin_roots(chi: float, mu: float) -> list:
-    """Positive twin critical points other than w = 1 (the 3+/4+ pair)."""
-    return [w for w in twin_critical_points(chi, mu)
-            if w > 1e-6 and abs(w - 1.0) > 1e-6]
+    """Positive roots of C: the 3+/4+ pair."""
+    return [w for w in _twin_cubic_roots(chi, mu) if w > 1e-6]
 
 
 def _saddle_node_pair_present(chi: float, mu: float) -> bool:

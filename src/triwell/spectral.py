@@ -121,6 +121,17 @@ def degenerate_clusters(eigenvalues: np.ndarray) -> list:
     return clusters
 
 
+def sector_order(levels: list) -> list:
+    """Levels, tuples that start (energy, sector label), in ascending
+    energy with the order A1, A2, E inside each ``degenerate_clusters``
+    cluster."""
+    levels = sorted(levels, key=lambda level: level[0])
+    clusters = degenerate_clusters(np.array([level[0] for level in levels]))
+    return [level for cluster in clusters
+            for level in sorted((levels[i] for i in cluster),
+                                key=lambda level: _SECTOR_ORDER[level[1]])]
+
+
 def spectrum(params: ModelParams, k: int) -> SpectrumResult:
     """k lowest eigenpairs of the model Hamiltonian at the given parameters,
     solved sector by sector and labelled A1, A2 or E."""
@@ -137,11 +148,7 @@ def spectrum(params: ModelParams, k: int) -> SpectrumResult:
         for energy, vec in zip(vals, vecs.T):
             levels += [(float(energy), sector.label, vec, isometry)
                        for isometry in sector.isometries]
-    levels.sort(key=lambda level: level[0])
-    clusters = degenerate_clusters(np.array([level[0] for level in levels]))
-    levels = [level for cluster in clusters
-              for level in sorted((levels[i] for i in cluster),
-                                  key=lambda level: _SECTOR_ORDER[level[1]])]
+    levels = sector_order(levels)
     ground, ground_label = levels[0][0], levels[0][1]
     other = [level[0] for level in levels if level[1] != ground_label]
     kept = levels[:k]

@@ -369,24 +369,20 @@ def test_sidecars_record_symmetry_labels_and_gap(tmp_path):
     assert meta["labels"] == ["A1"] and meta["sector_gap"] > 0.0
 
 
-@pytest.mark.parametrize("omega, route, derivative", [
-    (-1.0, "a1_tunneling", "exact"),
-    (1.0, "generators", "centered_difference"),
-])
-def test_sidecars_record_purity_route(tmp_path, omega, route, derivative):
-    """scaling and purity-scan sidecars name the purity route that ran;
-    omega < 0, mu = 0 has an A1 ground state, omega > 0 need not."""
+@pytest.mark.parametrize("omega", [-1.0, 1.0])
+def test_sidecars_carry_no_purity_route(tmp_path, omega):
+    """One purity formula serves every (omega, mu), so the scaling and
+    purity-scan sidecars name no route; at omega = +1 the scaling runs
+    with an A1 (N = 6) and an E-doublet (N = 8) ground level."""
     common = ["--omega", repr(omega), "--out", str(tmp_path)]
     assert main(["scaling", "--n", "6", "8", "--window-min", "0.5",
                  "--window-max", "3.2", *common]) == 0
     meta = read_sidecar(tmp_path / "scaling.meta.json", "scaling")
-    assert meta["purity_route"] == route
-    assert meta["derivative"] == derivative
+    assert "purity_route" not in meta and "derivative" not in meta
     assert read(tmp_path / "scaling.csv").splitlines()[0] == "n,chi_cq"
     assert main(["purity-scan", "--n", "6", "--chi-min", "0.0",
                  "--chi-max", "1.0", "--chi-steps", "3", *common]) == 0
     meta = json.loads(read(tmp_path / "purity_N6.meta.json"))
-    assert meta["purity_route"] == route
-    assert "derivative" not in meta
+    assert "purity_route" not in meta and "derivative" not in meta
     assert read(tmp_path / "purity_N6.csv").splitlines()[0] == \
         "chi,purity,dP_dchi"

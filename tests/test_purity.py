@@ -9,14 +9,14 @@ import oracles
 from oracles import (ConsistencyError, algebra_purity_constant,
                      algebra_reduced_purity, orthonormal_generator_basis)
 from triwell import purity, spectral
-from triwell.algebra import HamiltonianTerms, ModelParams, model_context
+from triwell.algebra import (HamiltonianTerms, ModelContext, ModelParams,
+                             model_context)
 from triwell.coherent import ClassicalPoint, QuantumState, coherent_state
 from triwell.errors import BracketingError
 from triwell.purity import (critical_chi_q, generalized_purity,
-                            derivative_method, ground_state_purity,
-                            power_law_fit, purity_derivative, purity_route,
-                            purity_scan)
-from triwell.spectral import ground_state
+                            ground_state_purity, power_law_fit,
+                            purity_derivative, purity_scan)
+from triwell.spectral import ground_state, spectrum
 
 
 def generator_purity(omega, mu, n, chi):
@@ -113,20 +113,26 @@ def test_a1_tunneling_purity_matches_generators(n):
     """P = <T>^2 / (4 N^2) on the A1 block equals the generator purity of
     the full ground state, also at N = 60, chi = 3, where the A1-E gap is
     about 1e-13."""
-    assert purity_route(-1.0, 0.0) == "a1_tunneling"
-    assert derivative_method(-1.0, 0.0) == "exact"
     for chi in (0.0, 1.0, 2.2, 3.0):
         assert abs(ground_state_purity(-1.0, 0.0, n, chi)
                    - generator_purity(-1.0, 0.0, n, chi)) <= 1e-14
 
 
 def test_a1_route_takes_no_generator_expectations(monkeypatch):
+    """No ground-state path reads the generators or the full-space
+    spectrum, for omega < 0 (A1) or omega > 0 (E doublets at N = 8, 31
+    and at N = 17, mu = 0.2)."""
     def refuse(*args):
         raise AssertionError("generator route taken")
 
     monkeypatch.setattr(purity, "generalized_purity", refuse)
+    monkeypatch.setattr(spectral, "spectrum", refuse)
+    monkeypatch.setattr(ModelContext, "gens", property(refuse))
     assert 0.0 < ground_state_purity(-1.0, 0.0, 12, 2.2) < 1.0
     critical_chi_q(-1.0, 0.0, 10, (2.0, 3.2))
+    assert 0.0 < ground_state_purity(1.0, 0.0, 31, 0.5) < 1.0
+    assert 0.0 < ground_state_purity(1.0, 0.2, 17, 0.5) < 1.0
+    critical_chi_q(1.0, 0.0, 8, (0.5, 3.2))
 
 
 @pytest.mark.parametrize("n, chis", [(10, (2.0, 2.2, 2.4)),
@@ -149,17 +155,87 @@ def test_exact_derivative_krylov_route(monkeypatch):
     assert krylov == pytest.approx(dense, rel=1e-9, abs=0.0)
 
 
-@pytest.mark.parametrize("omega, mu, n, chi", [(1.0, 0.0, 31, 0.5),
-                                               (-1.0, 0.3, 12, 2.2)])
-def test_generator_route_off_a1(omega, mu, n, chi):
-    """Where A1 is not proven (omega > 0: an E-doublet ground level at
-    N = 31; mu != 0) the purity is still today's generator route."""
-    assert purity_route(omega, mu) == "generators"
-    assert derivative_method(omega, mu) == "centered_difference"
-    assert ground_state_purity(omega, mu, n, chi) == \
-        generator_purity(omega, mu, n, chi)
-    with pytest.raises(ValueError):
-        purity_derivative(omega, mu, n, chi)
+def lifted_e_partners(omega, mu, n, chi):
+    """The two full-space partners of the E block's lowest vector."""
+    e = model_context(n).sectors[-1]
+    assert e.label == "E"
+    params = ModelParams.from_reduced(omega, chi, mu, n)
+    _, vecs, _ = spectral.eigensolve_lowest(e.terms, params, 1)
+    return [isometry @ vecs[:, 0] for isometry in e.isometries]
+
+
+def weighted_purity(expectations, n):
+    """The generalized purity of eight generator expectations."""
+    weights = np.array([3.0, 4.0, 12.0, 12.0, 12.0, 12.0, 12.0, 12.0])
+    return 9.0 / n ** 2 * float(np.sum(np.asarray(expectations) ** 2
+                                       / weights))
+
+
+@pytest.mark.parametrize("n, mu", [(31, 0.0), (17, 0.2)])
+def test_e_doublet_purity_is_the_mixture(n, mu):
+    """At an E-doublet ground level (omega = +1, chi = 0.5) the purity is
+    that of the mixture (|e1><e1| + |e2><e2|) / 2: the eight generator
+    expectations averaged over the two partners in any U(2) frame of the
+    pair.  A single partner's purity depends on the frame."""
+    chi = 0.5
+    assert spectrum(ModelParams.from_reduced(1.0, chi, mu, n),
+                    1).labels == ("E",)
+    gens = model_context(n).gens
+    pair = np.column_stack(lifted_e_partners(1.0, mu, n, chi))
+    rng = np.random.default_rng(7)
+    single = []
+    for _ in range(5):
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2))
+                            + 1j * rng.normal(size=(2, 2)))
+        rotated = (pair @ u).T
+        expectations = [np.mean([np.real(np.vdot(f, g @ f)) for f in rotated])
+                        for g in gens]
+        assert abs(weighted_purity(expectations, n)
+                   - ground_state_purity(1.0, mu, n, chi)) <= 1e-14
+        single.append(generalized_purity(
+            QuantumState(model_context(n).basis, rotated[0]), gens, n))
+    assert np.ptp(single) > 1e-2
+
+
+@pytest.mark.parametrize("omega, mu, n, chi", [(-1.0, 0.3, 12, 2.2),
+                                               (-1.0, 0.05, 10, 2.3),
+                                               (1.0, 0.0, 16, -1.0),
+                                               (1.0, 0.0, 24, 3.0)])
+def test_one_formula_matches_generators_off_perron_frobenius(omega, mu, n,
+                                                             chi):
+    """Nondegenerate ground states where Perron-Frobenius does not apply
+    (mu != 0 or omega > 0): <T>^2 / (4 N^2) on the ground sector's block
+    equals the generator purity of the ``spectrum`` ground state."""
+    assert spectrum(ModelParams.from_reduced(omega, chi, mu, n),
+                    1).labels == ("A1",)
+    assert abs(ground_state_purity(omega, mu, n, chi)
+               - generator_purity(omega, mu, n, chi)) <= 1e-14
+
+
+@pytest.mark.parametrize("omega, mu, n, chis, label", [
+    (1.0, 0.0, 31, (1.0, 2.5), "E"),
+    (1.0, 0.2, 17, (0.5,), "E"),
+    (-1.0, 0.3, 12, (2.2,), "A1"),
+    (-1.0, 0.05, 10, (2.0, 2.3), "A1"),
+])
+def test_exact_derivative_off_perron_frobenius(omega, mu, n, chis, label):
+    """The bordered-solve dP/dchi holds on any sector's block, since
+    dH/dchi = omega / (N - 1) K at fixed mu."""
+    h = 1e-4
+    for chi in chis:
+        assert {purity._ground_block(omega, mu, n, c)[0]
+                for c in (chi - h, chi, chi + h)} == {label}
+        centered = (ground_state_purity(omega, mu, n, chi + h)
+                    - ground_state_purity(omega, mu, n, chi - h)) / (2.0 * h)
+        assert purity_derivative(omega, mu, n, chi) == pytest.approx(
+            centered, rel=1e-6, abs=0.0)
+
+
+def test_critical_chi_refuses_a_sector_change():
+    """At omega = +1, mu = 0.2, N = 17 the ground level flips between E and
+    A1 for chi in (0.7, 0.95): P jumps, and no minimum is taken across."""
+    with pytest.raises(BracketingError, match="changes sector"):
+        critical_chi_q(1.0, 0.2, 17, (0.3, 1.5))
 
 
 def test_exact_derivative_needs_two_particles():
@@ -182,12 +258,11 @@ def test_purity_derivative_builds_the_a1_hamiltonian_once(monkeypatch):
     assert calls == [model_context(10).sectors[0].terms.dimension]
 
 
-def centered(fake_purity):
-    """dP/dchi of a synthetic purity as ``critical_chi_q`` takes it off the
-    A1 route."""
+def centered(fake_purity, step=0.005):
+    """Centered-difference dP/dchi of a synthetic purity."""
     def deriv(chi):
-        return ((fake_purity(chi + purity._STEP)
-                 - fake_purity(chi - purity._STEP)) / (2.0 * purity._STEP))
+        return ((fake_purity(chi + step) - fake_purity(chi - step))
+                / (2.0 * step))
     return deriv
 
 

@@ -277,6 +277,53 @@ def test_twin_critical_points_chi_two():
     assert np.allclose(roots, expected, atol=1e-9)
 
 
+def twin_gradient_numerator(chi, mu):
+    """Numerator of d/dw of the reduced twin energy, by polynomial
+    algebra on its quotient form."""
+    w = np.polynomial.Polynomial([0.0, 1.0])
+    d = 2.0 * w ** 2 + 1.0
+    n1 = (1.0 + 2.0 * mu) * (2.0 * w ** 2 + 4.0 * w)
+    n2 = chi * (2.0 * w ** 4 + 1.0) - 2.0 * mu * (4.0 * w ** 3 + 2.0 * w ** 2)
+    return ((n1.deriv() * d - n1 * d.deriv()) * d
+            + n2.deriv() * d - 2.0 * n2 * d.deriv())
+
+
+def test_twin_critical_points_are_the_gradient_roots():
+    """Off the line chi = 9/4 + mu the critical points are the distinct
+    real roots of the gradient numerator."""
+    rng = np.random.default_rng(4)
+    for chi, mu in rng.uniform((-3.0, -0.9), (5.0, 1.0), size=(60, 2)):
+        roots = twin_gradient_numerator(chi, mu).roots()
+        real = np.sort(roots[np.abs(roots.imag) < 1e-6].real)
+        assert twin_critical_points(chi, mu) == pytest.approx(real,
+                                                              abs=1e-7)
+
+
+@pytest.mark.parametrize("chi, mu", [(2.25, 0.0), (1.45, -0.8),
+                                     (1.3, -0.95)])
+def test_twin_unit_root_once_on_the_double_root_line(chi, mu):
+    """On chi = 9/4 + mu, w = 1 is a double root of the gradient; it is
+    reported once and exactly."""
+    roots = twin_critical_points(chi, mu)
+    near_one = roots[np.abs(roots - 1.0) < 1e-6]
+    assert near_one.tolist() == [1.0]
+    for w in roots:
+        assert twin_gradient_numerator(chi, mu)(w) == pytest.approx(
+            0.0, abs=1e-9)
+
+
+def test_fixed_points_where_the_pair_meets_one_plus():
+    """At chi = 9/4, mu = 0 the cubic factor's root w = 1 makes the 3+
+    branch pass through 1+, while 4+ stays apart."""
+    records = find_fixed_points(ModelParams.from_reduced(-1.0, 2.25, 0.0, 30))
+    labels = {r.label: r for r in records}
+    assert set(labels) == {"1+", "2+", "3+", "4+"}
+    assert labels["3+"].point.w1 == pytest.approx(1.0, abs=1e-12)
+    assert labels["4+"].energy_per_particle < labels["1+"].energy_per_particle
+    ws = [r.point.w1.real for r in records]
+    assert ws == sorted(ws)
+
+
 def test_fixed_point_labels_and_stability():
     params = ModelParams.from_reduced(-1.0, 3.0, 0.0, 30)
     records = {r.label: r for r in find_fixed_points(params)}
