@@ -151,12 +151,12 @@ def cmd_purity_scan(args) -> dict:
             "chi_grid": {"min": args.chi_min, "max": args.chi_max,
                          "steps": args.chi_steps},
             "workers": args.workers,
+            "ground_sectors": list(scan.sectors),
         }
     return files | sidecars
 
 
-def _scaling_task(task):
-    omega, mu, n, window, tol = task
+def _scaling_task(omega, mu, n, window, tol):
     return n, critical_chi_q(omega, mu, n, window, tol=tol)
 
 

@@ -41,17 +41,6 @@ class ClassicalPoint:
         return cls.from_twin_w(
             math.tan(theta / 2.0) * np.exp(-1j * phi) / math.sqrt(2.0))
 
-    @classmethod
-    def from_canonical(cls, i1: float, i2: float, phi1: float, phi2: float,
-                       n_particles: int) -> "ClassicalPoint":
-        i3 = n_particles - i1 - i2
-        if i3 <= 0 or i1 < 0 or i2 < 0:
-            raise ValueError("canonical chart requires 0 <= I1, I2 and "
-                             "I1 + I2 < N")
-        w1 = np.sqrt(i1 / i3) * np.exp(-1j * phi1)
-        w2 = np.sqrt(i2 / i3) * np.exp(-1j * phi2)
-        return cls(complex(w1), complex(w2))
-
     @property
     def d(self):
         """Normalization denominator |w1|^2 + |w2|^2 + 1."""

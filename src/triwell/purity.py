@@ -40,7 +40,9 @@ from .errors import BracketingError
 class PurityScan:
     chi_grid: np.ndarray
     purity: np.ndarray
-    derivative: np.ndarray          # centered differences, grid interior
+    derivative: np.ndarray          # centered differences; nan at the ends
+                                    # and across a ground-sector change
+    sectors: tuple                  # ground sector label per chi
 
 
 @dataclass(frozen=True)
@@ -141,30 +143,37 @@ def _bordered_solve(h: np.ndarray, e0: float, v: np.ndarray,
     return np.linalg.solve(a, np.append(rhs, 0.0))[:dim]
 
 
-def _scan_point(args):
-    return ground_state_purity(*args)
+def _ground_sector(*args):
+    return _ground_block(*args)[0]
 
 
 def map_tasks(fn, tasks, workers: int = 1) -> list:
-    """[fn(t) for t in tasks], in a pool of ``workers`` processes if > 1."""
+    """[fn(*t) for t in tasks], in a pool of ``workers`` processes if > 1."""
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return list(map(fn, tasks))
+            return list(pool.map(fn, *zip(*tasks)))
+    return [fn(*t) for t in tasks]
 
 
 def purity_scan(omega: float, mu: float, n_particles: int, chi_grid,
                 workers: int = 1) -> PurityScan:
-    """Ground-state purity over an ascending chi grid, with dP/dchi."""
+    """Ground-state purity and sector over an ascending chi grid, with a
+    centered-difference dP/dchi where the stencil shares one sector."""
     grid = np.asarray(chi_grid, dtype=float)
     if grid.size < 1 or np.any(np.diff(grid) <= 0):
         raise ValueError("chi grid must be non-empty and strictly ascending")
     tasks = [(omega, mu, n_particles, chi) for chi in grid]
-    purity = np.array(map_tasks(_scan_point, tasks, workers))
+    purity = np.array(map_tasks(ground_state_purity, tasks, workers))
+    # A1 by Perron-Frobenius at omega < 0, mu = 0, as in ``_ground_block``.
+    sectors = (("A1",) * grid.size if omega < 0 and mu == 0
+               else tuple(map_tasks(_ground_sector, tasks, workers)))
     derivative = np.full_like(purity, np.nan)
     if grid.size >= 3:
-        derivative[1:-1] = (purity[2:] - purity[:-2]) / (grid[2:] - grid[:-2])
-    return PurityScan(grid, purity, derivative)
+        label = np.array(sectors)
+        shared = (label[:-2] == label[1:-1]) & (label[1:-1] == label[2:])
+        derivative[1:-1] = np.where(
+            shared, (purity[2:] - purity[:-2]) / (grid[2:] - grid[:-2]), np.nan)
+    return PurityScan(grid, purity, derivative, sectors)
 
 
 def critical_chi_q(omega: float, mu: float, n_particles: int,

@@ -10,14 +10,14 @@ imported here under the same name.  Trajectories are integrated in the
 w-chart, which is free of coordinate singularities at empty wells or
 equal phases; the canonical chart (I1, I2, phi1, phi2) is a
 post-processing conversion.  The w-chart flow, the energy samples and the
-canonical Hessian behind the fixed-point stability are closed forms in
-numpy.
+w-chart Jacobian behind the fixed-point stability are closed forms in
+numpy; the canonical chart serves output only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from itertools import permutations, product
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -128,55 +128,66 @@ def _velocity(w1: complex, w2: complex, params: ModelParams):
 
 
 # ---------------------------------------------------------------------------
-# Canonical chart
+# Linear stability in the w-chart
 # ---------------------------------------------------------------------------
 
-# H(I1, I2, phi1, phi2) with I3 = N - I1 - I2 is the sum of nine terms
-# c_t * I1^e1 I2^e2 I3^e3 * cos(a1 phi1 + a2 phi2): rows of exponents e and
-# phase multipliers a, three each for tunneling (c = 2 omega_eff), self
-# collision (c = kappa (N-1)/N) and cross collision (c = -4 lam (N-1)/N).
-_TERM_EXPONENTS = np.array([
-    [0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5],
-    [2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0],
-    [1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]])
-_TERM_PHASES = np.array([
-    [1.0, -1.0], [1.0, 0.0], [0.0, 1.0],
-    [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
-    [0.0, 1.0], [1.0, 0.0], [1.0, -1.0]])
-# d(I1, I2, I3)/d(I1, I2)
-_CHAIN = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
+# H/N = (omega_eff z^dag T z D + (N-1) Q) / D^2 on z = (w1, w2, 1), with
+# D = z^dag z, T = ones(3, 3) - 1, Q = kappa sum |z_i|^4 - 2 lam sum over
+# distinct (i, j, k) of |z_i|^2 conj(z_j) z_k.  Each tensor holds the c of
+# a quartic form sum c_abcd conj(z_a z_b) z_c z_d, symmetric per index pair.
+def _quartic_form(terms) -> np.ndarray:
+    c = np.zeros((3, 3, 3, 3))
+    for term in terms:
+        c[term] += 0.25
+    c = c + c.transpose(1, 0, 2, 3)
+    return c + c.transpose(0, 1, 3, 2)
+
+
+_TUNNEL = _quartic_form((i, k, j, k) for i, j, k in product(range(3), repeat=3)
+                        if i != j)
+_SELF = _quartic_form((i, i, i, i) for i in range(3))
+_CROSS = _quartic_form((i, j, i, k) for i, j, k in permutations(range(3)))
+
+
+def _wirtinger_hessian(point: ClassicalPoint, params: ModelParams):
+    """(A, B) = (d2H/d(conj w) dw, d2H/d(conj w)^2), the top-left 2x2
+    blocks of the Hessian of H = F / D^2 on z, by the quotient rule."""
+    n = params.n_particles
+    c = n * (params.omega_eff * _TUNNEL
+             + (n - 1) * (params.kappa * _SELF - 2.0 * params.lam * _CROSS))
+    z = np.array([point.w1, point.w2, 1.0], dtype=complex)
+    zc, d = z.conjugate(), point.d
+    p = np.einsum("aebd,e,d->ab", c, zc, z)
+    f = float((zc @ p @ z).real)
+    u = 2.0 * p @ z                              # dF/d(conj z)
+    a = (4.0 * p / d ** 2
+         - 2.0 * (np.outer(u, zc) + np.outer(z, u.conjugate())) / d ** 3
+         + 6.0 * f * np.outer(z, zc) / d ** 4 - 2.0 * f * np.eye(3) / d ** 3)
+    b = (2.0 * np.einsum("abcd,c,d->ab", c, z, z) / d ** 2
+         - 2.0 * (np.outer(u, z) + np.outer(z, u)) / d ** 3
+         + 6.0 * f * np.outer(z, z) / d ** 4)
+    return a[:2, :2], b[:2, :2]
 
 
 def linearization(point: ClassicalPoint, params: ModelParams) -> np.ndarray:
-    """Linearized canonical flow matrix S * Hess(H) at a phase-space point.
-
-    S maps the gradient to the flow dI/dt = -dH/dphi, dphi/dt = dH/dI.
-    The Hessian is summed in closed form over the nine terms of H.
+    """Flow matrix J on (dw, conj dw) of dw/dt = -i g^{-1} dH/d(conj w) at
+    a fixed point, where only the Wirtinger Hessian varies:
+    J = [[-i g^{-1} A, -i g^{-1} B], [its conjugate, blocks swapped]],
+    g^{-1} = (D/N)(1 + w w^dag) as in ``_velocity``.  Finite at empty wells.
     """
-    n = params.n_particles
-    i1, i2, phi1, phi2 = point.canonical(n)
-    occ = np.array([i1, i2, n - i1 - i2])
-    q = (n - 1) / n
-    coeff = np.repeat([2.0 * params.omega_eff, q * params.kappa,
-                       -4.0 * q * params.lam], 3)
-    term = coeff * np.prod(occ ** _TERM_EXPONENTS, axis=1)
-    angle = _TERM_PHASES @ np.array([phi1, phi2])
-    tc, ts = term * np.cos(angle), term * np.sin(angle)
-    # Per term, with C = _CHAIN and u = C (e/I): grad I^e = I^e u and
-    # Hess I^e = I^e (u u^T - C diag(e/I^2) C^T).
-    u = (_TERM_EXPONENTS / occ) @ _CHAIN.T
-    curv = (tc @ (_TERM_EXPONENTS / occ ** 2)) * _CHAIN
-    h_ii = (u.T * tc) @ u - curv @ _CHAIN.T
-    h_ip = -(u.T * ts) @ _TERM_PHASES
-    h_pp = -(_TERM_PHASES.T * tc) @ _TERM_PHASES
-    return np.block([[-h_ip.T, -h_pp], [h_ii, h_ip]])
+    w = np.array([point.w1, point.w2], dtype=complex)
+    ginv = point.d / params.n_particles * (np.eye(2) + np.outer(w, w.conj()))
+    top = -1j * ginv @ np.hstack(_wirtinger_hessian(point, params))
+    return np.vstack([top, np.hstack([top[:, 2:], top[:, :2]]).conjugate()])
 
 
-def _classify_stability(eigenvalues: np.ndarray) -> str:
-    scale = float(np.max(np.abs(eigenvalues)))
-    if scale == 0.0:
-        return _STABLE
-    return (_STABLE if np.max(np.abs(eigenvalues.real)) <= _STABILITY_REL * scale
+def _classify_stability(jac: np.ndarray) -> str:
+    """Stable centre iff every eigenvalue of J^2 is real and <= 0 within
+    _STABILITY_REL ||J||_F^2.  A zero pair of J stays at roundoff size in
+    J^2; J's own eigenvalues would spread to its square root."""
+    tol = _STABILITY_REL * float(np.linalg.norm(jac)) ** 2
+    mu = np.linalg.eigvals(jac @ jac)
+    return (_STABLE if np.all((mu.real <= tol) & (np.abs(mu.imag) <= tol))
             else _UNSTABLE)
 
 
@@ -269,116 +280,106 @@ def twin_critical_points(chi: float, mu: float) -> np.ndarray:
     return np.array(sorted([1.0, *others]))
 
 
+def _twin_roots(chi: float, mu: float):
+    """C's real roots: the 2+ roots (w < 0) and the 3+/4+ pair (w >= 0)."""
+    roots = _twin_cubic_roots(chi, mu)
+    return [w for w in roots if w < 0.0], [w for w in roots if w >= 0.0]
+
+
+def _four_plus(stabilities, energies) -> int:
+    """Index of 4+ in the 3+/4+ pair: its stable-center member, or the
+    lower-energy one where stability picks none or both."""
+    stable = [i for i, s in enumerate(stabilities) if s == _STABLE]
+    return stable[0] if len(stable) == 1 else int(np.argmin(energies))
+
+
 def find_fixed_points(params: ModelParams,
                       replicate: bool = False) -> list:
     """Twin-sector equilibria with labels and full 4-D stability, in
     ascending w.
 
-    Labels: 1+ is w = 1 (present for every chi, mu); 2+ is the persistent
-    companion root of C at negative w; 3+/4+ are the saddle-node pair of
-    C's other roots, the stable member being 4+.  On the line
+    Labels: 1+ is w = 1 (present for every chi, mu); 2+ is a root of C
+    at w < 0; the roots of C at w >= 0 are the saddle-node pair, whose
+    stable member is 4+ and the other 3+ (where stability does not pick
+    one member, the lower-energy one is 4+).  On the line
     chi = 9/4 + mu, C has the root w = 1, so a pair member meets 1+ there.
     ``replicate`` adds the two equivalent twin sectors for every record.
     """
-    chi, mu = params.chi, params.mu
-    roots = [(1.0, "1+")] + [(w, "2+" if w < 0.0 else None)
-                             for w in _twin_cubic_roots(chi, mu)]
-    records = []
-    pair = []
-    for w, label in sorted(roots, key=lambda root: root[0]):
-        rec = _record_for(ClassicalPoint.from_twin_w(w), params,
-                          sector="w1=w2")
-        if label is None:
-            pair.append(rec)
-        else:
-            rec = replace(rec, label=label)
-        records.append(rec)
-    if len(pair) == 2:
-        stable = [r for r in pair if r.stability == _STABLE]
-        if len(stable) == 1:
-            four = stable[0]
-        else:  # fall back to energy ordering in the energy-minimum sense
-            four = min(pair, key=lambda r: r.energy_per_particle)
-        for i, rec in enumerate(records):
-            if rec in pair:
-                records[i] = replace(rec, label="4+" if rec is four else "3+")
+    def twin(w, label="other"):
+        return _record_for(ClassicalPoint.from_twin_w(w), params, label=label)
+
+    companions, pair = _twin_roots(params.chi, params.mu)
+    members = [twin(w) for w in pair]
+    if len(members) == 2:
+        four = _four_plus([r.stability for r in members],
+                          [r.energy_per_particle for r in members])
+        members = [replace(r, label="4+" if i == four else "3+")
+                   for i, r in enumerate(members)]
+    records = sorted([twin(1.0, "1+"), *(twin(w, "2+") for w in companions),
+                      *members], key=lambda r: r.point.w1.real)
     if replicate:
-        extra = []
-        for rec in records:
+        for rec in list(records):
             w = rec.point.w1
-            if abs(w) < 1e-9:
-                continue
-            for sector, pt in (("w1=1", ClassicalPoint(1.0, 1.0 / w)),
-                               ("w2=1", ClassicalPoint(1.0 / w, 1.0))):
-                twin_rec = _record_for(pt, params, sector=sector)
-                extra.append(replace(twin_rec, label=rec.label))
-        records.extend(extra)
+            if abs(w) >= 1e-9:   # w = 0 has no image in the other sectors
+                for sector, pt in (("w1=1", ClassicalPoint(1.0, 1.0 / w)),
+                                   ("w2=1", ClassicalPoint(1.0 / w, 1.0))):
+                    records.append(_record_for(pt, params, sector, rec.label))
     return records
 
 
 def _record_for(point: ClassicalPoint, params: ModelParams,
-                sector: str) -> FixedPointRecord:
+                sector: str = "w1=w2",
+                label: str = "other") -> FixedPointRecord:
     n = params.n_particles
+    energy = classical_hamiltonian(point, params) / n
     grad = np.array(_gradient(point.w1, point.w2, params)) / n
-    scale = max(1.0, abs(classical_hamiltonian(point, params)) / n)
-    gnorm = float(np.linalg.norm(grad)) / scale
-    eigs = np.linalg.eigvals(linearization(point, params))
     return FixedPointRecord(
         point=point,
-        energy_per_particle=classical_hamiltonian(point, params) / n,
-        label="other",
-        stability=_classify_stability(eigs),
+        energy_per_particle=energy,
+        label=label,
+        stability=_classify_stability(linearization(point, params)),
         sector=sector,
-        gradient_norm=gnorm,
+        gradient_norm=float(np.linalg.norm(grad)) / max(1.0, abs(energy)),
     )
 
 
-def _positive_twin_roots(chi: float, mu: float) -> list:
-    """Positive roots of C: the 3+/4+ pair."""
-    return [w for w in _twin_cubic_roots(chi, mu) if w > 1e-6]
-
-
-def _saddle_node_pair_present(chi: float, mu: float) -> bool:
-    return len(_positive_twin_roots(chi, mu)) >= 2
-
-
-def bifurcation_scan(mu: float, chi_range: tuple,
-                     tol: float = 1e-4) -> float:
-    """chi_plus(mu): bisection on appearance of the 3+/4+ root pair."""
+def bifurcation_scan(mu: float, chi_range: tuple) -> float:
+    """chi_plus(mu), where the 3+/4+ pair appears (C has a double root):
+    the root in ``chi_range`` of disc_w(C)/16, whose coefficients below run
+    in ascending powers of chi.  BracketingError unless the pair is absent
+    at lo and present at hi, with exactly one real root between."""
     lo, hi = float(chi_range[0]), float(chi_range[1])
-    if _saddle_node_pair_present(lo, mu) or not _saddle_node_pair_present(hi, mu):
+    if len(_twin_roots(lo, mu)[1]) >= 2 or len(_twin_roots(hi, mu)[1]) < 2:
         raise BracketingError(
             f"range ({lo}, {hi}) does not bracket the saddle-node bifurcation")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _saddle_node_pair_present(mid, mu):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _twin_branch_w4(chi: float, mu: float) -> Optional[float]:
-    """Location of the 4+ fixed point (smallest positive non-unit root)."""
-    positive = _positive_twin_roots(chi, mu)
-    return min(positive) if len(positive) >= 2 else None
+    roots = Polynomial([-np.polyval([152.0, 528.0, 456.0, 152.0, 18.0], mu),
+                        np.polyval([104.0, 36.0, -24.0, -10.0], mu),
+                        33.0 * mu ** 2 - 6.0, 14.0 * mu + 6.0, 1.0]).roots()
+    inside = [r.real for r in roots
+              if abs(r.imag) < 1e-8 * (1.0 + abs(r)) and lo < r.real < hi]
+    if len(inside) != 1:
+        raise BracketingError(
+            f"{len(inside)} discriminant roots in ({lo}, {hi}), want one")
+    return float(inside[0])
 
 
 def level_crossing(mu: float, chi_search: tuple = (1.0, 4.0),
                    tol: float = 1e-6) -> float:
-    """chi_c(mu): energy crossing of the 1+ and 4+ fixed points.
-
-    Works in energy-minimum units (Omega < 0 convention), where the ground
-    branch switches from 1+ to 4+ at the crossing.
-    """
+    """chi_c(mu): where the 1+ and 4+ fixed points have equal energy, in
+    energy-minimum units (Omega < 0), where the ground branch switches from
+    1+ to 4+.  4+ is chosen by ``_four_plus`` as in ``find_fixed_points``;
+    the flow matrix J depends on Omega, chi and mu alone, so N = 2 serves."""
     chi_plus = bifurcation_scan(mu, chi_search)
 
     def energy_gap(chi):
-        w4 = _twin_branch_w4(chi, mu)
-        if w4 is None:
+        pair = _twin_roots(chi, mu)[1]
+        if len(pair) != 2:
             raise BracketingError(f"4+ branch missing at chi={chi:g}")
-        # H/N with Omega = -1 is -twin_energy_reduced.
-        return twin_energy_reduced(w4, chi, mu) - twin_energy_reduced(1.0, chi, mu)
+        params = ModelParams.from_reduced(-1.0, chi, mu, 2)
+        energy = -twin_energy_reduced(pair, chi, mu)    # H/N at Omega = -1
+        four = _four_plus([_classify_stability(linearization(
+            ClassicalPoint.from_twin_w(w), params)) for w in pair], energy)
+        return float(energy[four] + twin_energy_reduced(1.0, chi, mu))
 
     lo = chi_plus + 1e-3
     hi = float(chi_search[1])

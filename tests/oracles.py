@@ -403,6 +403,18 @@ def husimi_population_loop(state, i1_grid, i2_grid):
     return np.clip(values, 0.0, None), mask
 
 
+def point_from_canonical(i1: float, i2: float, phi1: float, phi2: float,
+                         n_particles: int) -> ClassicalPoint:
+    """Inverse of ``ClassicalPoint.canonical``: the point with occupations
+    I1, I2 (I3 = N - I1 - I2 > 0) and phases phi1, phi2."""
+    i3 = n_particles - i1 - i2
+    if i3 <= 0 or i1 < 0 or i2 < 0:
+        raise ValueError("canonical chart requires 0 <= I1, I2 and "
+                         "I1 + I2 < N")
+    return ClassicalPoint(complex(np.sqrt(i1 / i3) * np.exp(-1j * phi1)),
+                          complex(np.sqrt(i2 / i3) * np.exp(-1j * phi2)))
+
+
 def husimi_quadrature_oracle(state, i1: float, i2: float,
                              phase_points: int = 64) -> float:
     """Brute-force phase average of |<N; w|psi>|^2.
@@ -419,7 +431,7 @@ def husimi_quadrature_oracle(state, i1: float, i2: float,
     total = 0.0
     for p1 in phis:
         for p2 in phis:
-            point = ClassicalPoint.from_canonical(i1, i2, p1, p2, n)
+            point = point_from_canonical(i1, i2, p1, p2, n)
             overlap = np.vdot(coherent_state(basis, point).amplitudes,
                               state.amplitudes)
             total += abs(overlap) ** 2

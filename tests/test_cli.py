@@ -282,6 +282,18 @@ def test_fixed_points_table_and_branch_scan(tmp_path):
     read_sidecar(out / "fixed_points.meta.json", "fixed-points")
 
 
+def test_fixed_points_at_an_empty_well(tmp_path):
+    """At mu = -1/2 the 4+ point is w = 0 (wells 1 and 2 empty), where the
+    stability is still finite."""
+    out = tmp_path / "fp"
+    assert main(["fixed-points", "--n", "30", "--chi", "2.0", "--mu", "-0.5",
+                 "--out", str(out)]) == 0
+    rows = [line.split(",") for line in
+            read(out / "fixed_points.csv").splitlines()[1:]]
+    empty = [row for row in rows if float(row[2]) == 0.0]
+    assert [(row[0], row[9]) for row in empty] == [("4+", "stable-center")]
+
+
 def test_trajectory_files_and_drift(tmp_path):
     out = tmp_path / "tr"
     code = main(["trajectory", "--n", "30", "--chi", "1.5",
@@ -384,5 +396,9 @@ def test_sidecars_carry_no_purity_route(tmp_path, omega):
                  "--chi-max", "1.0", "--chi-steps", "3", *common]) == 0
     meta = json.loads(read(tmp_path / "purity_N6.meta.json"))
     assert "purity_route" not in meta and "derivative" not in meta
+    assert len(meta["ground_sectors"]) == 3
+    assert set(meta["ground_sectors"]) <= {"A1", "A2", "E"}
+    if omega < 0:
+        assert meta["ground_sectors"] == ["A1"] * 3
     assert read(tmp_path / "purity_N6.csv").splitlines()[0] == \
         "chi,purity,dP_dchi"

@@ -108,6 +108,24 @@ def test_purity_scan_grid_and_derivative():
         purity_scan(-1.0, 0.0, 8, grid[::-1])
 
 
+def test_purity_scan_no_difference_across_a_sector_change():
+    """At N = 17, omega = +1, mu = 0.2 the ground level is A1 at
+    chi = 0.8 and 0.9 and E around them; no centered difference spans the
+    jump of P, and the others are the plain differences."""
+    grid = np.linspace(-1.0, 3.0, 41)
+    scan = purity_scan(1.0, 0.2, 17, grid)
+    assert scan.sectors[17:21] == ("E", "A1", "A1", "E")
+    assert set(scan.sectors) == {"A1", "E"}
+    for k in range(1, grid.size - 1):
+        if len(set(scan.sectors[k - 1:k + 2])) > 1:
+            assert np.isnan(scan.derivative[k])
+        else:
+            assert scan.derivative[k] == (
+                (scan.purity[k + 1] - scan.purity[k - 1])
+                / (grid[k + 1] - grid[k - 1]))
+    assert np.all(np.isnan(scan.derivative[17:21]))
+
+
 @pytest.mark.parametrize("n", [10, 30, 60])
 def test_a1_tunneling_purity_matches_generators(n):
     """P = <T>^2 / (4 N^2) on the A1 block equals the generator purity of
@@ -241,6 +259,27 @@ def test_critical_chi_refuses_a_sector_change():
 def test_exact_derivative_needs_two_particles():
     with pytest.raises(ValueError):
         purity_derivative(-1.0, 0.0, 1, 0.0)
+
+
+def test_purity_scan_solves_each_point_once(monkeypatch):
+    """At omega < 0, mu = 0 every grid point is one ``ground_state_purity``
+    call and one ground-block solve; the A1 labels need no solve."""
+    calls = {"purity": 0, "block": 0}
+    point, block = purity.ground_state_purity, purity._ground_block
+
+    def counted_point(*args):
+        calls["purity"] += 1
+        return point(*args)
+
+    def counted_block(*args):
+        calls["block"] += 1
+        return block(*args)
+
+    monkeypatch.setattr(purity, "ground_state_purity", counted_point)
+    monkeypatch.setattr(purity, "_ground_block", counted_block)
+    scan = purity_scan(-1.0, 0.0, 10, np.linspace(0.0, 3.0, 7))
+    assert calls == {"purity": 7, "block": 7}
+    assert scan.sectors == ("A1",) * 7
 
 
 def test_purity_derivative_builds_the_a1_hamiltonian_once(monkeypatch):

@@ -14,7 +14,8 @@ from oracles import (canonical_gradient, canonical_hamiltonian,
                      canonical_velocity, equations_of_motion)
 from triwell.algebra import ModelParams
 from triwell.errors import BracketingError
-from triwell.semiclassical import (ClassicalPoint, _gradient, _velocity,
+from triwell.semiclassical import (ClassicalPoint, _classify_stability,
+                                   _gradient, _velocity, _wirtinger_hessian,
                                    bifurcation_scan, classical_hamiltonian,
                                    find_fixed_points, integrate_trajectory,
                                    level_crossing, linearization,
@@ -136,16 +137,87 @@ def test_array_point_chart_matches_scalar_points():
     assert math.copysign(1.0, chart[0][2]) == -1.0
 
 
-def test_linearization_matches_symbolic_hessian():
-    rng = np.random.default_rng(11)
-    for chi, mu, n in ((2.2, 0.15, 30), (0.7, -0.4, 7), (3.5, 0.6, 200)):
-        params = ModelParams.from_reduced(-1.0, chi, mu, n)
-        for _ in range(25):
-            frac = rng.dirichlet(np.ones(3))
-            x = (n * frac[0], n * frac[1], *rng.uniform(-np.pi, np.pi, 2))
-            got = linearization(ClassicalPoint.from_canonical(*x, n), params)
-            ref = oracles.canonical_flow_matrix(*x, params)
-            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+@pytest.mark.parametrize("n", [7, 30, 200])
+def test_wirtinger_hessian_matches_gradient_difference(n):
+    """A = d(grad)/dw and B = d(grad)/d(conj w) from a centered difference
+    of the closed-form gradient grad = dH/d(conj w)."""
+    rng = np.random.default_rng(n)
+    params = ModelParams.from_reduced(-1.0, 2.2, 0.15, n)
+    eps = 1e-6
+    for _ in range(10):
+        w = rng.normal(size=2) + 1j * rng.normal(size=2)
+        a, b = _wirtinger_hessian(ClassicalPoint(*w), params)
+        ref_a, ref_b = np.zeros((2, 2), complex), np.zeros((2, 2), complex)
+        for m in range(2):
+            dx = np.zeros(2, complex)
+            dx[m] = eps
+            gx = (np.array(_gradient(*(w + dx), params))
+                  - np.array(_gradient(*(w - dx), params))) / (2 * eps)
+            gy = (np.array(_gradient(*(w + 1j * dx), params))
+                  - np.array(_gradient(*(w - 1j * dx), params))) / (2 * eps)
+            # d/dw = (d/dx - i d/dy)/2, d/d(conj w) = (d/dx + i d/dy)/2
+            ref_a[:, m] = (gx - 1j * gy) / 2
+            ref_b[:, m] = (gx + 1j * gy) / 2
+        scale = max(np.max(np.abs(ref_a)), np.max(np.abs(ref_b)))
+        assert np.max(np.abs(a - ref_a)) <= 1e-6 * scale
+        assert np.max(np.abs(b - ref_b)) <= 1e-6 * scale
+
+
+def _same_spectrum(got, ref, tol):
+    return all(np.min(np.abs(got - x)) <= tol for x in ref) and all(
+        np.min(np.abs(ref - x)) <= tol for x in got)
+
+
+@pytest.mark.parametrize("omega, chi, mu, n", [
+    (-1.0, 3.0, 0.0, 30), (-1.0, 2.2, 0.15, 7), (1.0, 1.5, 0.2, 30),
+    (1.0, -1.75, -2.0, 200), (-1.0, 4.0, 0.6, 30)])
+def test_linearization_eigenvalues_match_canonical_oracle(omega, chi, mu, n):
+    """At every fixed point off the chart boundary the w-chart flow matrix
+    has the eigenvalues of the sympy canonical flow matrix."""
+    params = ModelParams.from_reduced(omega, chi, mu, n)
+    checked = 0
+    for rec in find_fixed_points(params, replicate=True):
+        x = rec.point.canonical(n)
+        if min(x[0], x[1], n - x[0] - x[1]) < 1e-9 * n:
+            continue
+        got = np.linalg.eigvals(linearization(rec.point, params))
+        ref = np.linalg.eigvals(oracles.canonical_flow_matrix(*x, params))
+        assert _same_spectrum(got, ref, 1e-8 * np.max(np.abs(ref)))
+        checked += 1
+    assert checked >= 6
+
+
+def test_empty_well_fixed_point():
+    """At mu = -1/2 the cubic factor has the root w = 0, where wells 1 and
+    2 are empty; the flow matrix is finite there: a stable centre with
+    eigenvalues +-3i and +-5i."""
+    params = ModelParams.from_reduced(-1.0, 2.0, -0.5, 30)
+    (rec,) = [r for r in find_fixed_points(params) if r.point.w1 == 0.0]
+    assert (rec.label, rec.stability) == ("4+", "stable-center")
+    eigs = np.linalg.eigvals(linearization(rec.point, params))
+    assert np.max(np.abs(eigs.real)) < 1e-12
+    assert np.sort(eigs.imag) == pytest.approx([-5.0, -3.0, 3.0, 5.0],
+                                               abs=1e-12)
+
+
+@pytest.mark.parametrize("omega", [-1.0, 1.0])
+@pytest.mark.parametrize("n", [30, 31])
+@pytest.mark.parametrize("chi, mu", [(2.25, 0.0), (1.3, -0.95),
+                                     (1.45, -0.8)])
+def test_stability_at_a_zero_pair(chi, mu, n, omega):
+    """On chi = 9/4 + mu the flow matrix at w = 1 is nilpotent, so its
+    eigenvalues come out at the square root of roundoff with either
+    sign; the J^2 rule reads every such record stable-center."""
+    params = ModelParams.from_reduced(omega, chi, mu, n)
+    at_one = [r for r in find_fixed_points(params, replicate=True)
+              if abs(r.point.w1 - 1.0) < 1e-6 and abs(r.point.w2 - 1.0) < 1e-6]
+    assert at_one
+    for rec in at_one:
+        jac = linearization(rec.point, params)
+        assert np.max(np.abs(np.linalg.eigvals(jac))) < 1e-6 * np.linalg.norm(
+            jac)
+        assert rec.stability == "stable-center"
+    assert _classify_stability(np.zeros((4, 4), complex)) == "stable-center"
 
 
 def test_trajectories_and_fixed_points_run_without_sympy(tmp_path):
@@ -172,6 +244,7 @@ def test_trajectories_and_fixed_points_run_without_sympy(tmp_path):
         "scaling --n 10 12 --window-min 2.0 --window-max 3.2",
         "fields --n 6 --chi 3.0 --pop-grid 11 --phase-grid 16",
         "fixed-points --n 10 --chi 3.0 --replicate",
+        "fixed-points --n 10 --chi 2.0 --mu -0.5",
         "trajectory --n 10 --chi 1.5 --t-max 1.0 --dt 0.5",
         "theta-min --chi-steps 5",
     ]
@@ -181,7 +254,9 @@ def test_trajectories_and_fixed_points_run_without_sympy(tmp_path):
                             env={**os.environ, "PYTHONPATH": str(src)},
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert len(list(tmp_path.glob("*.meta.json"))) == len(commands)
+    # the two fixed-points runs write the same file names
+    assert len(list(tmp_path.glob("*.meta.json"))) == len(
+        {argv.split()[0] for argv in commands})
 
 
 def test_canonical_gradient_finite_difference():
@@ -227,23 +302,6 @@ def test_chart_switch_near_boundary():
     chart, vel = equations_of_motion(edge, PARAMS)
     assert chart == "w"
     assert vel.shape == (2,)
-
-
-def test_linearization_finite_difference():
-    x0 = np.array([11.0, 8.0, 0.2, -0.1])
-    n = PARAMS.n_particles
-    a = linearization(ClassicalPoint.from_canonical(*x0, n), PARAMS)
-    eps = 1e-6
-    fd = np.zeros((4, 4))
-    for m in range(4):
-        dx = np.zeros(4)
-        dx[m] = eps
-        vp = canonical_velocity(
-            ClassicalPoint.from_canonical(*(x0 + dx), n), PARAMS)
-        vm = canonical_velocity(
-            ClassicalPoint.from_canonical(*(x0 - dx), n), PARAMS)
-        fd[:, m] = (vp - vm) / (2 * eps)
-    assert np.allclose(a, fd, rtol=1e-5, atol=1e-5)
 
 
 def test_energy_per_particle_scale_free():
@@ -366,7 +424,7 @@ def test_saddle_node_location():
 
 
 def test_saddle_node_square_root_scaling():
-    chi_plus = bifurcation_scan(0.0, (1.0, 3.0), tol=1e-8)
+    chi_plus = bifurcation_scan(0.0, (1.0, 3.0))
 
     def gap(chi):
         roots = sorted(r for r in twin_critical_points(chi, 0.0)
@@ -379,8 +437,36 @@ def test_saddle_node_square_root_scaling():
     assert ratio == pytest.approx(2.0, rel=0.05)
 
 
+def test_saddle_node_is_where_the_pair_appears():
+    """chi_plus, the discriminant root, separates no pair from a pair."""
+    for mu in np.linspace(-0.3, 1.5, 7):
+        chi_plus = bifurcation_scan(mu, (0.5, 8.0))
+        below = find_fixed_points(ModelParams.from_reduced(
+            -1.0, chi_plus - 1e-7, mu, 30))
+        above = find_fixed_points(ModelParams.from_reduced(
+            -1.0, chi_plus + 1e-7, mu, 30))
+        assert not {"3+", "4+"} & {r.label for r in below}
+        assert {"3+", "4+"} <= {r.label for r in above}
+
+
 def test_level_crossing_at_two():
     assert level_crossing(0.0) == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("mu", [-0.3, 0.0, 0.3])
+def test_level_crossing_is_where_one_plus_and_four_plus_meet(mu):
+    """level_crossing is the chi at which the 1+ and 4+ records of
+    find_fixed_points have equal energy, the gap changing sign there."""
+    chi_c = level_crossing(mu)
+
+    def gap(chi):
+        records = {r.label: r for r in find_fixed_points(
+            ModelParams.from_reduced(-1.0, chi, mu, 30))}
+        return (records["4+"].energy_per_particle
+                - records["1+"].energy_per_particle)
+
+    assert abs(gap(chi_c)) < 1e-6
+    assert gap(chi_c - 1e-3) * gap(chi_c + 1e-3) < 0
 
 
 def test_trajectory_conserves_energy_and_twin_symmetry():
