@@ -373,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("scaling", help="chi_c^q(N) and power-law fit")
     p.add_argument("--window-min", type=float, default=2.0)
     p.add_argument("--window-max", type=float, default=2.6)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=float, default=1e-3,
+                   help="tolerance relative to chi_c^q minus --window-min")
     p.add_argument("--chi-c", type=float, default=2.0,
                    help="semiclassical critical value used in the fit")
     _add_common(p)
@@ -444,6 +445,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(_with_config(argv))
+        if len(set(args.n)) != len(args.n):
+            raise UsageError(f"--n values must be distinct, got {args.n}")
         t0 = time.perf_counter()
         files = args.func(args)
         stamp = {"command": args.command, "triwell_version": __version__,

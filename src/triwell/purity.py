@@ -13,22 +13,25 @@ vector v.  On such a state Q1 and Q2, which transform as E, have zero
 expectation; the J, imaginary antisymmetric, vanish on real vectors; and
 P1, P2, P3 share <T>/3, where T = P1 + P2 + P3 is the tunneling term.
 Hence P = <T>^2 / (4 N^2) with <T> = v^T T v on the sector's block.  At
-fixed mu, dH/dchi = omega / (N - 1) K, so first-order perturbation theory
-on the same block gives the exact chi-derivative
+fixed mu, dH/dchi = c K with c = omega / (N - 1).  With R = (H - E0)^+,
+read from the bordered system [[H - E0, v], [v^T, 0]] [R b; l] = [b; 0],
+perturbation theory on the same block gives (primes are d/dchi)
 
-    dP/dchi = <T> / (2 N^2) * d<T>/dchi,
-    d<T>/dchi = -2 omega / (N - 1) * x^T K v,
+    v' = -c R K v,  E0' = c v^T K v,  <T>' = 2 v'^T T v,
+    <T>'' = 2 v'^T T v' - 4 ((c K - E0') v')^T R T v - 2 |v'|^2 <T>,
+    dP/dchi = <T> <T>' / (2 N^2),  d2P/dchi2 = (<T>'^2 + <T> <T>'') / (2 N^2),
 
-where x = (H - E0)^+ T v solves the bordered system
-[[H - E0, v], [v^T, 0]] [x; l] = [T v; 0].
+and chi_c^q is where d2P/dchi2 turns from negative to non-negative.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import lu_factor, lu_solve
 
 from . import spectral
 from .algebra import ModelParams, model_context
@@ -78,14 +81,55 @@ def generalized_purity(state: QuantumState, gens: tuple,
     return 9.0 / n_particles ** 2 * total
 
 
-def _ground_block(omega: float, mu: float, n_particles: int, chi: float):
-    """(sector label, block Hamiltonian as CSR, E0, real block vector v,
-    T v, K v) of the ground level's S3 sector.
+@dataclass(frozen=True, eq=False)
+class GroundLevel:
+    """The ground level at one (omega, mu, N, chi) on its S3 sector's
+    block.  P reads the eigenpair alone; the first read of ``derivatives``
+    factorizes the bordered matrix, once per record."""
 
-    Where Perron-Frobenius proves an A1 ground state (omega < 0, mu = 0)
-    only the A1 block is solved; elsewhere each sector's lowest level is,
-    and ``spectral.sector_order`` picks the ground level among them.
-    """
+    label: str
+    block: object             # the matrix solved: dense for LAPACK, else CSR
+    e0: float
+    v: np.ndarray
+    tk: object                # T stacked over K on the block
+    tv_kv: np.ndarray         # (T v, K v)
+    omega: float
+    n_particles: int
+
+    @property
+    def purity(self) -> float:
+        t = float(self.v @ self.tv_kv[0])
+        return t * t / (4.0 * self.n_particles ** 2)
+
+    @cached_property
+    def derivatives(self) -> tuple:
+        """(dP/dchi, d2P/dchi2) by one LU factorization of the bordered
+        matrix, solved for the right-hand sides T v and K v."""
+        if self.n_particles < 2:
+            raise ValueError("the exact dP/dchi needs N >= 2")
+        v, (tv, kv), dim = self.v, self.tv_kv, self.v.size
+        h = (self.block if isinstance(self.block, np.ndarray)
+             else self.block.toarray())
+        a = np.block([[h, v[:, None]], [v, 0.0]])
+        a[np.arange(dim), np.arange(dim)] -= self.e0
+        rhs = np.pad(self.tv_kv, ((0, 0), (0, 1))).T     # [T v, K v; 0, 0]
+        x_t, x_k = lu_solve(lu_factor(a), rhs)[:dim].T
+        c = self.omega / (self.n_particles - 1)
+        t, dv = float(v @ tv), -c * x_k
+        t_dv, k_dv = np.split(self.tk @ dv, 2)
+        dt = 2.0 * float(dv @ tv)
+        d2t = 2.0 * (float(dv @ t_dv) - float(dv @ dv) * t
+                     - 2.0 * c * float((k_dv - float(v @ kv) * dv) @ x_t))
+        norm = 2.0 * self.n_particles ** 2
+        return t * dt / norm, (dt * dt + t * d2t) / norm
+
+
+def _ground_block(omega: float, mu: float, n_particles: int,
+                  chi: float) -> GroundLevel:
+    """The ground level's record.  Where Perron-Frobenius proves an A1
+    ground state (omega < 0, mu = 0) only the A1 block is solved; elsewhere
+    each sector's lowest level is, and ``spectral.sector_order`` picks the
+    ground level among them."""
     params = ModelParams.from_reduced(omega, chi, mu, n_particles)
     sectors = model_context(n_particles).sectors
     if omega < 0 and mu == 0:
@@ -94,12 +138,10 @@ def _ground_block(omega: float, mu: float, n_particles: int, chi: float):
     for sector in sectors:
         vals, vecs, h = spectral.eigensolve_lowest(sector.terms, params, 1)
         levels.append((float(vals[0]), sector.label, h, vecs[:, 0],
-                       sector.terms))
-    if len(levels) > 1:
-        levels = spectral.sector_order(levels)
-    e0, label, h, v, terms = levels[0]
-    tv, kv = np.split(terms.tunneling_collision @ v, 2)
-    return label, h, e0, v, tv, kv
+                       sector.terms.tunneling_collision))
+    e0, label, h, v, tk = spectral.sector_order(levels)[0]
+    return GroundLevel(label, h, e0, v, tk, (tk @ v).reshape(2, -1), omega,
+                       n_particles)
 
 
 def ground_state_purity(omega: float, mu: float, n_particles: int,
@@ -108,43 +150,17 @@ def ground_state_purity(omega: float, mu: float, n_particles: int,
     doublet counts as the mixture of its two partners."""
     if n_particles == 0:
         raise ValueError("purity is undefined for zero particles")
-    _, _, _, v, tv, _ = _ground_block(omega, mu, n_particles, chi)
-    t = float(v @ tv)
-    return t * t / (4.0 * n_particles ** 2)
+    return _ground_block(omega, mu, n_particles, chi).purity
 
 
 def purity_derivative(omega: float, mu: float, n_particles: int,
                       chi: float) -> float:
     """Exact dP/dchi of the ground level's purity for N >= 2."""
-    return _ground_derivative(omega, mu, n_particles, chi)[1]
-
-
-def _ground_derivative(omega: float, mu: float, n_particles: int,
-                       chi: float):
-    """(ground sector label, exact dP/dchi)."""
-    if n_particles < 2:
-        raise ValueError("the exact dP/dchi needs N >= 2")
-    label, h, e0, v, tv, kv = _ground_block(omega, mu, n_particles, chi)
-    x = _bordered_solve(h.toarray(), e0, v, tv)
-    dt_dchi = -2.0 * omega / (n_particles - 1) * float(x @ kv)
-    return label, float(v @ tv) / (2.0 * n_particles ** 2) * dt_dchi
-
-
-def _bordered_solve(h: np.ndarray, e0: float, v: np.ndarray,
-                    rhs: np.ndarray) -> np.ndarray:
-    """x with (H - E0) x = rhs - (v.rhs) v and v.x = 0, i.e.
-    x = (H - E0)^+ rhs for the nondegenerate eigenpair (E0, v)."""
-    dim = v.size
-    a = np.zeros((dim + 1, dim + 1))
-    a[:dim, :dim] = h
-    a[np.arange(dim), np.arange(dim)] -= e0
-    a[:dim, dim] = v
-    a[dim, :dim] = v
-    return np.linalg.solve(a, np.append(rhs, 0.0))[:dim]
+    return _ground_block(omega, mu, n_particles, chi).derivatives[0]
 
 
 def _ground_sector(*args):
-    return _ground_block(*args)[0]
+    return _ground_block(*args).label
 
 
 def map_tasks(fn, tasks, workers: int = 1) -> list:
@@ -178,79 +194,56 @@ def purity_scan(omega: float, mu: float, n_particles: int, chi_grid,
 
 def critical_chi_q(omega: float, mu: float, n_particles: int,
                    window: tuple, tol: float = 1e-3) -> float:
-    """Minimizer of the exact dP/dchi (``purity_derivative``) inside the
-    window, refined to the tolerance (see ``_window_minimum``).
+    """Minimizer of the exact dP/dchi inside the window: the root of
+    d2P/dchi2 to within tol * (chi - window[0]) (see ``_upward_root``).
 
     BracketingError if the ground level changes sector inside the window:
     P jumps there, and no minimum is taken across the jump.
     """
     labels = []
 
-    def deriv(chi):
-        label, value = _ground_derivative(omega, mu, n_particles, chi)
-        if labels and label != labels[0]:
+    def curvature(chi):
+        level = _ground_block(omega, mu, n_particles, chi)
+        if labels and level.label != labels[0]:
             raise BracketingError(
                 f"the ground level changes sector from {labels[0]} to "
-                f"{label} at chi={chi:g} inside the window")
-        labels.append(label)
-        return value
+                f"{level.label} at chi={chi:g} inside the window")
+        labels.append(level.label)
+        return level.derivatives[1]
 
-    return _window_minimum(deriv, window, tol)
+    return _upward_root(curvature, window, tol)
 
 
-def _window_minimum(f, window: tuple, tol: float) -> float:
-    """Minimizer of f inside the window: a coarse grid of 25 points
-    locates the minimum and golden-section search refines it to the
-    tolerance; BracketingError if the coarse minimum is on the window's
-    edge or ties a neighbour."""
+def _upward_root(f, window: tuple, tol: float) -> float:
+    """The one x in the window where f turns from < 0 to >= 0.
+
+    A 7-point grid must show exactly one such sign change, else
+    BracketingError: none puts the minimum of f's antiderivative on the
+    window's edge, and more than one is ambiguous.  Regula falsi with
+    Illinois halving then narrows the bracket below tol * (x - window[0]).
+    """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError("window must satisfy lo < hi")
-    coarse = np.linspace(lo, hi, 25)
-    values = np.array([f(c) for c in coarse])
-    imin = int(np.argmin(values))
-    if imin in (0, len(coarse) - 1):
+    xs = np.linspace(lo, hi, 7)
+    fs = np.array([f(x) for x in xs])
+    up = np.flatnonzero((fs[:-1] < 0) & (fs[1:] >= 0))
+    if up.size != 1:
         raise BracketingError(
-            f"dP/dchi minimum sits on the window boundary at chi={coarse[imin]:g}")
-    return _golden(f, coarse[imin - 1:imin + 2], values[imin - 1:imin + 2],
-                   tol)
-
-
-# Golden-ratio conjugate as scipy's golden-section search rounds it.
-_GR = 0.61803399
-
-
-def _golden(f, xs, fs, tol: float) -> float:
-    """Golden-section minimizer of f on the bracket xs = (xa, xb, xc) with
-    known values fs, step for step as scipy's
-    ``minimize_scalar(method="golden", options={"xtol": tol})`` but
-    without evaluating f again at the bracket points."""
-    (xa, xb, xc), (fa, fb, fc) = xs, fs
-    if not (fb < fa and fb < fc):
-        raise BracketingError(
-            f"no strict dP/dchi minimum at chi={xb:g}: {fa:g}, {fb:g}, {fc:g}")
-    gc = 1.0 - _GR
-    x0, x3 = xa, xc
-    if abs(xc - xb) > abs(xb - xa):
-        x1, f1 = xb, fb
-        x2 = xb + gc * (xc - xb)
-        f2 = f(x2)
-    else:
-        x2, f2 = xb, fb
-        x1 = xb - gc * (xb - xa)
-        f1 = f(x1)
-    for _ in range(5000):                     # scipy's maxiter
-        if abs(x3 - x0) <= tol * (abs(x1) + abs(x2)):
+            f"d2P/dchi2 turns upward {up.size} times on the grid "
+            f"{lo:g}..{hi:g}, where exactly one is needed")
+    (x0, x1), (f0, f1) = xs[up[0]:up[0] + 2], fs[up[0]:up[0] + 2]
+    for _ in range(100):            # ends even at tol = 0
+        x = x1 - f1 * (x1 - x0) / (f1 - f0)
+        if f1 == 0 or abs(x1 - x0) <= tol * (x - lo):
             break
-        if f2 < f1:
-            x0, x1, f1 = x1, x2, f2
-            x2 = _GR * x1 + gc * x3
-            f2 = f(x2)
+        fx = f(x)
+        if (fx < 0) != (f1 < 0):
+            x0, f0 = x1, f1
         else:
-            x3, x2, f2 = x2, x1, f1
-            x1 = _GR * x2 + gc * x0
-            f1 = f(x1)
-    return float(x1 if f1 < f2 else x2)
+            f0 /= 2                 # Illinois: the stale end weighs less
+        x1, f1 = x, fx
+    return float(x)
 
 
 def power_law_fit(n_values, chi_cq_values, chi_c: float) -> ScalingFit:

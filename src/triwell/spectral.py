@@ -53,7 +53,7 @@ class SpectrumResult:
 def eigensolve_lowest(terms: HamiltonianTerms, params: ModelParams, k: int):
     """k lowest eigenpairs of the real symmetric matrix
     ``terms.hamiltonian(params)``: (ascending eigenvalues, orthonormal
-    sign-fixed eigenvectors as columns, the CSR matrix solved).
+    sign-fixed eigenvectors as columns, the matrix solved: dense for LAPACK).
 
     ``terms`` is the whole N-particle space or one of its symmetry blocks.
     LAPACK solves it while the whole space, of dimension (N+1)(N+2)/2, is
@@ -66,7 +66,8 @@ def eigensolve_lowest(terms: HamiltonianTerms, params: ModelParams, k: int):
     m = terms.hamiltonian(params)
     n = params.n_particles
     if (n + 1) * (n + 2) // 2 <= DENSE_LIMIT or k > dim // 4:
-        vals, vecs = la.eigh(m.toarray(), subset_by_index=[0, k - 1])
+        m = m.toarray()
+        vals, vecs = la.eigh(m, subset_by_index=[0, k - 1])
     else:
         vals, vecs = _krylov_lowest(m, k)
     vecs = _fix_signs(vecs[:, np.argsort(vals)])
@@ -75,7 +76,8 @@ def eigensolve_lowest(terms: HamiltonianTerms, params: ModelParams, k: int):
     scale = max(1.0, float(np.max(np.abs(vals))))
     if np.any(residuals > _RESIDUAL_FACTOR * scale):
         # Krylov result did not meet the residual invariant; redo densely.
-        vals, vecs = la.eigh(m.toarray(), subset_by_index=[0, k - 1])
+        m = m if isinstance(m, np.ndarray) else m.toarray()
+        vals, vecs = la.eigh(m, subset_by_index=[0, k - 1])
         vecs = _fix_signs(vecs)
         residuals = np.linalg.norm(m @ vecs - vecs * vals[None, :], axis=0)
         _check_residuals(residuals, scale)
@@ -142,9 +144,9 @@ def spectrum(params: ModelParams, k: int) -> SpectrumResult:
     levels = []                      # (energy, label, block vector, isometry)
     for sector in ctx.sectors:
         partners = len(sector.isometries)
-        vals, vecs, _ = eigensolve_lowest(
+        vals, vecs = eigensolve_lowest(
             sector.terms, params,
-            min(-(-k // partners), sector.terms.dimension))
+            min(-(-k // partners), sector.terms.dimension))[:2]
         for energy, vec in zip(vals, vecs.T):
             levels += [(float(energy), sector.label, vec, isometry)
                        for isometry in sector.isometries]

@@ -184,6 +184,18 @@ def test_flag_a_command_does_not_take_exits_two(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["scaling", "--n", "10", "10", "15"],
+    ["purity-scan", "--n", "30", "30", "--chi-steps", "3"],
+])
+def test_repeated_n_exits_two(tmp_path, capsys, argv):
+    """A repeated --n would be solved twice and written once (or drop a row
+    and the fit of ``scaling``); it is refused before any solve."""
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "must be distinct" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
     ["fixed-points", "--kappa", "0.1", "--chi-scan", "1.5", "2.5", "5"],
     ["fixed-points", "--lam", "0.1", "--chi-scan", "1.5", "2.5", "5"],
     ["theta-min", "--n", "10", "20"],

@@ -241,7 +241,7 @@ def test_exact_derivative_off_perron_frobenius(omega, mu, n, chis, label):
     dH/dchi = omega / (N - 1) K at fixed mu."""
     h = 1e-4
     for chi in chis:
-        assert {purity._ground_block(omega, mu, n, c)[0]
+        assert {purity._ground_block(omega, mu, n, c).label
                 for c in (chi - h, chi, chi + h)} == {label}
         centered = (ground_state_purity(omega, mu, n, chi + h)
                     - ground_state_purity(omega, mu, n, chi - h)) / (2.0 * h)
@@ -283,76 +283,100 @@ def test_purity_scan_solves_each_point_once(monkeypatch):
 
 
 def test_purity_derivative_builds_the_a1_hamiltonian_once(monkeypatch):
-    """The bordered solve reuses the matrix the eigensolve built."""
-    calls = []
+    """The bordered solve reuses the matrix the eigensolve built and
+    densified: one build and one densification per call."""
+    calls, dense = [], []
     build = HamiltonianTerms.hamiltonian
+    csr = type(build(model_context(10).sectors[0].terms,
+                     ModelParams(-1.0, 0.0, 0.0, 10)))
+    densify = csr.toarray
 
     def counted(self, params):
         calls.append(self.dimension)
         return build(self, params)
 
+    def counted_densify(self, *args, **kwargs):
+        dense.append(self.shape[0])
+        return densify(self, *args, **kwargs)
+
     purity_derivative(-1.0, 0.0, 10, 2.2)      # warm the model context
     monkeypatch.setattr(HamiltonianTerms, "hamiltonian", counted)
+    monkeypatch.setattr(csr, "toarray", counted_densify)
     purity_derivative(-1.0, 0.0, 10, 2.3)
-    assert calls == [model_context(10).sectors[0].terms.dimension]
+    a1 = model_context(10).sectors[0].terms.dimension
+    assert calls == [a1]
+    assert dense == [a1]
 
 
-def centered(fake_purity, step=0.005):
-    """Centered-difference dP/dchi of a synthetic purity."""
+def test_purity_needs_no_factorization(monkeypatch):
+    """P and the purity scan solve the eigenproblem only; the bordered
+    matrix is factorized on the first derivative read."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("bordered matrix factorized")
+
+    monkeypatch.setattr(purity, "lu_factor", refuse)
+    assert 0.0 < ground_state_purity(-1.0, 0.0, 10, 2.2) < 1.0
+    scan = purity_scan(-1.0, 0.0, 10, np.linspace(0.0, 3.0, 7))
+    assert np.all((scan.purity > 0.0) & (scan.purity <= 1.0))
+    with pytest.raises(AssertionError, match="factorized"):
+        purity_derivative(-1.0, 0.0, 10, 2.2)
+
+
+@pytest.mark.parametrize("n", [10, 25, 60])
+def test_second_derivative_matches_centered_difference(n):
+    """Second-order perturbation theory on the ground block gives
+    d2P/dchi2; a centered difference of the exact dP/dchi agrees to its
+    own O(h^2) and roundoff error."""
+    h = 1e-4
+    for chi in (1.5, 2.1, 2.5):
+        centered = (purity_derivative(-1.0, 0.0, n, chi + h)
+                    - purity_derivative(-1.0, 0.0, n, chi - h)) / (2.0 * h)
+        exact = purity._ground_block(-1.0, 0.0, n, chi).derivatives[1]
+        assert exact == pytest.approx(centered, rel=2e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [10, 20, 40])
+def test_critical_chi_matches_a_fine_golden_search(n):
+    """The root of d2P/dchi2 at tol 1e-3 is the minimizer of dP/dchi that
+    a golden search at xtol 1e-10 finds, to that search's resolution."""
+    window = (2.0, 2.6) if n >= 20 else (2.0, 3.2)
+
     def deriv(chi):
-        return ((fake_purity(chi + step) - fake_purity(chi - step))
-                / (2.0 * step))
-    return deriv
+        return purity_derivative(-1.0, 0.0, n, chi)
+
+    coarse = np.linspace(*window, 13)
+    i = int(np.argmin([deriv(c) for c in coarse]))
+    ref = minimize_scalar(deriv, bracket=tuple(coarse[i - 1:i + 2]),
+                          method="golden", options={"xtol": 1e-10})
+    found = critical_chi_q(-1.0, 0.0, n, window, tol=1e-3)
+    assert found == pytest.approx(ref.x, abs=1e-7)
 
 
 def test_critical_chi_synthetic_oracle():
-    """An analytic purity with known steepest-descent point is recovered."""
+    """The upward root of an analytic d2P/dchi2 (P = 1 - tanh(5 (chi -
+    2.31)) / 2, steepest descent at 2.31) is recovered."""
     center = 2.31
 
-    def fake_purity(chi):
-        return 1.0 - np.tanh(5.0 * (chi - center)) / 2.0
+    def curvature(chi):
+        u = 5.0 * (chi - center)
+        return 25.0 * np.tanh(u) / np.cosh(u) ** 2
 
-    found = purity._window_minimum(centered(fake_purity), (1.5, 3.0), 1e-5)
-    assert found == pytest.approx(center, abs=1e-4)
+    found = purity._upward_root(curvature, (1.5, 3.0), 1e-5)
+    assert found == pytest.approx(center, abs=1e-8)
 
 
 def test_critical_chi_boundary_detection():
-    def fake_purity(chi):
-        return -chi ** 2  # derivative minimum at the right edge
-
+    """d2P/dchi2 < 0 on the whole window: the dP/dchi minimum sits on the
+    right edge, and no crossing brackets it."""
     with pytest.raises(BracketingError):
-        purity._window_minimum(centered(fake_purity), (0.0, 1.0), 1e-3)
+        purity._upward_root(lambda chi: chi - 10.0, (0.0, 1.0), 1e-3)
 
 
-def test_critical_chi_tied_coarse_minimum():
-    """A coarse minimum that ties its neighbour brackets nothing: that is a
-    numerical failure (BracketingError), not a usage error."""
-    def steps(chi):
-        return -min(max(math.floor(chi), 10), 12)
-
-    with pytest.raises(BracketingError):
-        purity._window_minimum(centered(steps), (0.0, 24.0), 1e-3)
-
-
-@pytest.mark.parametrize("f, xs, tol", [
-    (lambda x: (x - 2.31) ** 2, (2.0, 2.25, 2.5), 1e-3),
-    (lambda x: (x - 2.31) ** 2, (2.0, 2.4, 2.5), 1e-6),
-    (lambda x: np.cosh(3.0 * (x + 0.7)), (-1.5, -1.0, 0.0), 1e-8),
-    (lambda x: -np.exp(-(x - 40.0) ** 2 / 7.0), (35.0, 41.0, 42.0), 1e-5),
-    (lambda x: abs(x - 0.123), (0.0, 0.05, 1.0), 0.0),
-], ids=["parabola-left", "parabola-right", "cosh", "well", "kink-tol0"])
-def test_golden_matches_scipy_bit_for_bit(f, xs, tol):
-    ref = minimize_scalar(f, bracket=xs, method="golden",
-                          options={"xtol": tol})
-    calls = []
-
-    def counted(x):
-        calls.append(x)
-        return f(x)
-
-    found = purity._golden(counted, np.array(xs), [f(x) for x in xs], tol)
-    assert found == float(ref.x)
-    assert len(calls) == ref.nfev - 4
+def test_critical_chi_two_upward_crossings():
+    """Two local dP/dchi minima in the window are ambiguous: a numerical
+    failure (BracketingError), not a usage error."""
+    with pytest.raises(BracketingError, match="2 times"):
+        purity._upward_root(math.sin, (-1.0, 12.0), 1e-3)
 
 
 def test_power_law_fit_matches_linregress():
