@@ -11,6 +11,10 @@ J_k = i (a_k^dag a_j - a_j^dag a_k) with j = ((k+1) mod 3) + 1, i.e. mode
 pairs (1,3), (2,1), (3,2).  These are the unique Hermitian bilinears
 consistent with the generator form of the Hamiltonian and with the
 coherent-state purity normalization.
+
+``model_context(N)`` builds the basis, the S3 isometries and the full-space
+(T, K, V) once per N; the shared full-space pattern, each sector's blocks
+and the generators wait for their first read.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fock import (FockBasis, build_basis, check_hermitian, hop_operator,
-                   symmetry_sectors)
+                   lex_rank, symmetry_sectors)
 
 
 @dataclass(frozen=True)
@@ -107,24 +111,22 @@ def hamiltonian_terms(basis: FockBasis):
     Returns (T, K, V) with H = omega_eff*T + kappa*K - 2*lam*V, where
     T = sum_{i!=j} a_i^dag a_j, K = sum_i a_i^dag2 a_i^2 and
     V = sum over distinct (i,j,k) of n_i a_j^dag a_k.
+
+    Each off-diagonal entry is one hop j -> i: T holds sqrt(n_j (n_i + 1))
+    and V that times n_k, the third mode's occupation, which the hop keeps.
     """
-    modes = (1, 2, 3)
-    n_op = {i: hop_operator(basis, i, i) for i in modes}
-    hop = {(i, j): hop_operator(basis, i, j)
-           for i in modes for j in modes if i != j}
-    dim = basis.dimension
-    T = sp.csr_matrix((dim, dim))
-    V = sp.csr_matrix((dim, dim))
-    for i, j in hop:
-        T = T + hop[(i, j)]
-    occ = basis.states.astype(float)
-    K = sp.diags(np.sum(occ * (occ - 1.0), axis=1), format="csr")
-    for i in modes:
-        for j in modes:
-            for k in modes:
-                if len({i, j, k}) == 3:
-                    V = V + n_op[i] @ hop[(j, k)]
-    return T.tocsr(), K, V.tocsr()
+    occ = basis.states.T                                  # (3, D)
+    i, j = np.array([(a, b) for a in range(3) for b in range(3) if a != b]).T
+    hop = occ[j] > 0                                      # (6, D)
+    n1, n2 = ((occ[m] + (i == m)[:, None] - (j == m)[:, None])[hop]
+              for m in (0, 1))                            # after the hop
+    at = (lex_rank(basis.total_particles, n1, n2), np.nonzero(hop)[1])
+    t = np.sqrt(occ[j] * (occ[i] + 1.0))[hop]
+    T, V = (sp.csr_matrix((x, at), shape=(basis.dimension,) * 2)
+            for x in (t, occ[3 - i - j][hop] * t))
+    V.eliminate_zeros()
+    K = sp.diags(np.sum(occ * (occ - 1.0), axis=0), format="csr")
+    return T, K, V
 
 
 @dataclass(frozen=True)
@@ -161,9 +163,8 @@ class HamiltonianTerms:
     def hamiltonian(self, params: ModelParams) -> sp.csr_matrix:
         t, k, v = self.values
         data = params.omega_eff * t + params.kappa * k - 2.0 * params.lam * v
-        dim = self.dimension
         return sp.csr_matrix((data, self.indices, self.indptr),
-                             shape=(dim, dim))
+                             shape=(self.dimension,) * 2)
 
     @cached_property
     def tunneling_collision(self) -> sp.csr_matrix:
@@ -182,12 +183,18 @@ class Sector:
     the real blocks B^T T B, B^T K B, B^T V B of the Hamiltonian terms.
 
     ``isometries`` holds one (D, d) matrix for A1 and A2 and the two
-    partners for E, which share the block.
+    partners for E, which share the block.  ``terms`` is projected from the
+    full-space ``operators`` on first read.
     """
 
     label: str
     isometries: tuple
-    terms: HamiltonianTerms
+    operators: tuple                # full-space (T, K, V), CSR
+
+    @cached_property
+    def terms(self) -> HamiltonianTerms:
+        return HamiltonianTerms.from_matrices(
+            *(_project(self.isometries[0], m) for m in self.operators))
 
 
 def _project(isometry: sp.csr_matrix, m: sp.csr_matrix) -> sp.csr_matrix:
@@ -198,11 +205,16 @@ def _project(isometry: sp.csr_matrix, m: sp.csr_matrix) -> sp.csr_matrix:
 
 @dataclass(frozen=True)
 class ModelContext:
-    """Cached per-N operator machinery shared by scans and solvers."""
+    """Cached per-N operator machinery shared by scans and solvers; the
+    shared pattern ``terms`` and the generators are built on first read."""
 
     basis: FockBasis
-    terms: HamiltonianTerms
+    operators: tuple                # (T, K, V) of ``hamiltonian_terms``
     sectors: tuple                  # Sector, in the order A1, A2, E
+
+    @cached_property
+    def terms(self) -> HamiltonianTerms:
+        return HamiltonianTerms.from_matrices(*self.operators)
 
     @cached_property
     def gens(self) -> tuple:
@@ -218,10 +230,6 @@ class ModelContext:
 @lru_cache(maxsize=None)
 def model_context(n_particles: int) -> ModelContext:
     basis = build_basis(n_particles)
-    terms = hamiltonian_terms(basis)
-    sectors = tuple(
-        Sector(label, isometries, HamiltonianTerms.from_matrices(
-            *(_project(isometries[0], m) for m in terms)))
-        for label, isometries in symmetry_sectors(basis))
-    return ModelContext(basis, HamiltonianTerms.from_matrices(*terms),
-                        sectors)
+    ops = hamiltonian_terms(basis)
+    return ModelContext(basis, ops, tuple(
+        Sector(*sector, ops) for sector in symmetry_sectors(basis)))

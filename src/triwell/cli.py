@@ -33,6 +33,8 @@ from .semiclassical import (ClassicalPoint, find_fixed_points,
                             integrate_trajectory, theta_min_analysis)
 from .spectral import spectrum
 
+_CSV_CHUNK_ROWS = 4096              # rows ``write_csv`` formats at a time
+
 
 class UsageError(Exception):
     pass
@@ -63,17 +65,17 @@ def _format_column(col):
 
 
 def write_csv(path: Path, header, columns):
-    """Write equal-length columns under a header row.
-
-    The rows are joined as bytes: joining them as str and encoding the
-    result made two more copies of the file, and on the 65,536-row phase
-    field those copies left the peak memory of a run to chance.
-    """
-    cells = [_format_column(col) for col in columns]
-    lines = [",".join(header).encode()]
-    lines += map(b",".join, zip(*cells, strict=True))
-    lines.append(b"")                       # the final newline
-    path.write_bytes(b"\n".join(lines))
+    """Write equal-length columns under a header row in row chunks, so that
+    peak memory does not grow with the table; ragged columns raise
+    ValueError before the file is opened."""
+    lengths = {len(col) for col in columns} or {0}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    with open(path, "wb") as f:
+        f.write(",".join(header).encode() + b"\n")
+        for i in range(0, lengths.pop(), _CSV_CHUNK_ROWS):
+            cells = [_format_column(c[i:i + _CSV_CHUNK_ROWS]) for c in columns]
+            f.write(b"\n".join(map(b",".join, zip(*cells))) + b"\n")
 
 
 def write_metadata(path: Path, payload: dict):

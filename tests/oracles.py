@@ -5,6 +5,7 @@ over speed."""
 import functools
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import gammaln
 
 from triwell.algebra import (ModelParams, generators, hamiltonian_terms,
@@ -48,6 +49,30 @@ def hamiltonian_direct(basis: FockBasis, params: ModelParams):
     T, K, V = hamiltonian_terms(basis)
     m = params.omega_eff * T + params.kappa * K - 2.0 * params.lam * V
     return check_hermitian(m)
+
+
+def hamiltonian_terms_from_hops(basis: FockBasis):
+    """(T, K, V) of ``algebra.hamiltonian_terms``, summed term by term
+    from ``hop_operator`` matrices: T = sum_{i!=j} a_i^dag a_j,
+    K = sum_i a_i^dag2 a_i^2, V = sum over distinct (i,j,k) of
+    n_i a_j^dag a_k."""
+    modes = (1, 2, 3)
+    n_op = {i: hop_operator(basis, i, i) for i in modes}
+    hop = {(i, j): hop_operator(basis, i, j)
+           for i in modes for j in modes if i != j}
+    dim = basis.dimension
+    T = sp.csr_matrix((dim, dim))
+    V = sp.csr_matrix((dim, dim))
+    for i, j in hop:
+        T = T + hop[(i, j)]
+    occ = basis.states.astype(float)
+    K = sp.diags(np.sum(occ * (occ - 1.0), axis=1), format="csr")
+    for i in modes:
+        for j in modes:
+            for k in modes:
+                if len({i, j, k}) == 3:
+                    V = V + n_op[i] @ hop[(j, k)]
+    return T.tocsr(), K, V.tocsr()
 
 
 def hamiltonian_generators(basis: FockBasis, params: ModelParams):

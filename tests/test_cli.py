@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from triwell import cli
 from triwell.cli import _fmt, build_parser, main, write_csv
 
 
@@ -55,6 +56,30 @@ def test_write_csv_bytes(tmp_path):
     assert read(path) == "a,b\n"
     with pytest.raises(ValueError):
         write_csv(path, ["a", "b"], [np.zeros(2), [1]])
+
+
+def test_write_csv_in_row_chunks(tmp_path):
+    """A table longer than two chunks is written exactly as the whole
+    table joined row by row; ragged columns raise before the file is
+    opened and leave no file."""
+    n = 2 * cli._CSV_CHUNK_ROWS + 5
+    rng = np.random.default_rng(0)
+    special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf])
+    floats = rng.standard_normal(n)
+    floats[rng.integers(0, n, 50)] = rng.choice(special, 50)
+    header = ["f", "grid", "i", "s", "b"]
+    columns = [floats, np.repeat([-0.0, 0.5, 1.0 / 3.0], -(-n // 3))[:n],
+               list(range(-3, n - 3)), [f"c{k % 7}" for k in range(n)],
+               [k % 3 == 0 for k in range(n)]]
+    path = tmp_path / "t.csv"
+    write_csv(path, header, columns)
+    rows = [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+    assert read(path) == "\n".join([",".join(header)] + rows) + "\n"
+
+    ragged = tmp_path / "ragged.csv"
+    with pytest.raises(ValueError):
+        write_csv(ragged, ["a", "b"], [np.zeros(n), list(range(n - 1))])
+    assert not ragged.exists()
 
 
 # scipy submodules that only some commands need, loaded where they are used;

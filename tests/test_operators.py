@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import (ModelConsistencyError, expectation, hamiltonian_direct,
-                     hamiltonian_generators, index_of, verify_equivalence)
-from triwell.algebra import (ModelParams, generators, hamiltonian_terms,
-                             model_context, partner_mode)
-from triwell.fock import build_basis
+                     hamiltonian_generators, hamiltonian_terms_from_hops,
+                     index_of, verify_equivalence)
+from triwell import algebra
+from triwell.algebra import (HamiltonianTerms, ModelParams, generators,
+                             hamiltonian_terms, model_context, partner_mode)
+from triwell.fock import build_basis, symmetry_sectors
 
 
 def test_partner_mode_cycle():
@@ -146,3 +148,35 @@ def test_tunneling_collision_stacks_t_over_k():
     assert np.allclose(stacked, np.concatenate([T @ x, K @ x]),
                        rtol=0.0, atol=1e-12)
     assert ctx.terms.tunneling_collision is ctx.terms.tunneling_collision
+
+
+def _assert_bitwise(got, want):
+    """The same CSR arrays, float bits included (-0.0 apart from 0.0)."""
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        if g.dtype.kind == "f":
+            g, w = g.view(np.uint64), w.view(np.uint64)
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 31])
+def test_hamiltonian_terms_bitwise_equal_hop_sums(n):
+    """The one-pass build equals the hop-operator sums bit for bit, and so
+    do the full-space pattern and every sector's projected blocks."""
+    basis = build_basis(n)
+    want = hamiltonian_terms_from_hops(basis)
+    for got, ref in zip(hamiltonian_terms(basis), want):
+        _assert_bitwise((got.data, got.indices, got.indptr),
+                        (ref.data, ref.indices, ref.indptr))
+    ctx = model_context(n)
+    fields = ("values", "indptr", "indices")
+    pairs = [(ctx.terms, HamiltonianTerms.from_matrices(*want))]
+    for sector, (label, isometries) in zip(ctx.sectors,
+                                           symmetry_sectors(basis),
+                                           strict=True):
+        assert sector.label == label
+        pairs.append((sector.terms, HamiltonianTerms.from_matrices(
+            *(algebra._project(isometries[0], m) for m in want))))
+    for got, ref in pairs:
+        _assert_bitwise([getattr(got, f) for f in fields],
+                        [getattr(ref, f) for f in fields])

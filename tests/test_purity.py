@@ -8,7 +8,7 @@ from scipy.stats import linregress
 import oracles
 from oracles import (ConsistencyError, algebra_purity_constant,
                      algebra_reduced_purity, orthonormal_generator_basis)
-from triwell import purity, spectral
+from triwell import algebra, purity, spectral
 from triwell.algebra import (HamiltonianTerms, ModelContext, ModelParams,
                              model_context)
 from triwell.coherent import ClassicalPoint, QuantumState, coherent_state
@@ -151,6 +151,34 @@ def test_a1_route_takes_no_generator_expectations(monkeypatch):
     assert 0.0 < ground_state_purity(1.0, 0.0, 31, 0.5) < 1.0
     assert 0.0 < ground_state_purity(1.0, 0.2, 17, 0.5) < 1.0
     critical_chi_q(1.0, 0.0, 8, (0.5, 3.2))
+
+
+def test_a1_runs_project_the_a1_block_alone(monkeypatch):
+    """Where only the A1 block is solved, only its three terms are
+    projected and the full-space pattern is never built; ``spectrum``
+    builds every block and the pattern."""
+    projected = []
+    project = algebra._project
+
+    def counted(isometry, m):
+        projected.append(isometry.shape[1])
+        return project(isometry, m)
+
+    def built(ctx):
+        return ("terms" in vars(ctx),
+                ["terms" in vars(sector) for sector in ctx.sectors])
+
+    model_context.cache_clear()
+    monkeypatch.setattr(algebra, "_project", counted)
+    ground_state_purity(-1.0, 0.0, 20, 2.0)
+    critical_chi_q(-1.0, 0.0, 10, (2.0, 2.6))
+    a1 = [model_context(n).sectors[0].terms.dimension for n in (20, 10)]
+    assert projected == [a1[0]] * 3 + [a1[1]] * 3
+    for n in (20, 10):
+        assert built(model_context(n)) == (False, [True, False, False])
+    spectrum(ModelParams.from_reduced(-1.0, 2.0, 0.0, 20), 4)
+    assert len(projected) == 12
+    assert built(model_context(20)) == (True, [True, True, True])
 
 
 @pytest.mark.parametrize("n, chis", [(10, (2.0, 2.2, 2.4)),
