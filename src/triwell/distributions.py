@@ -2,8 +2,10 @@
 
 The Husimi phase integral is evaluated in closed form (the uniform phase
 average kills all cross terms), with log-space accumulation so large N stays
-finite.  The phase distribution is the squared collective-phase overlap,
-normalized automatically because (n1, n2) uniquely labels basis states.
+finite.  Grid points are taken in blocks whose (points x basis) log matrix
+is built, exponentiated and summed in place in two reused buffers.  The
+phase distribution is the squared collective-phase overlap, normalized
+automatically because (n1, n2) uniquely labels basis states.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ class ScalarField2D:
 
 
 # Elements of the (points x dim) log matrix evaluated at once.
-_BLOCK = 1 << 16
+_BLOCK = 1 << 14
+# Finite stand-in for ln 0: times n = 0 it gives -0.0, not NaN.
+_LOG_FLOOR = -1e308
 
 
 def husimi_population(state: QuantumState, i1_grid,
@@ -76,23 +80,29 @@ def _husimi_points(state: QuantumState, x1, x2) -> np.ndarray:
 
 
 def _sum_exp(base, n1, n2, r1, r2, shift):
-    """sum_n exp(base_n + n1 ln r1 + n2 ln r2 - shift) for each point,
-    over blocks of points so the log matrix stays near _BLOCK elements."""
+    """sum_n exp(base_n + n1 ln r1 + n2 ln r2 - shift) for each point.
+
+    Blocks of points are evaluated in place in two buffers of about _BLOCK
+    elements.  With the log ratios clamped at _LOG_FLOOR, n = 0 at ratio 0
+    adds -0.0 and n >= 1 adds a term whose exp is exactly 0."""
     out = np.empty(r1.size)
+    ln1 = np.maximum(_safe_log(r1), _LOG_FLOOR)
+    ln2 = np.maximum(_safe_log(r2), _LOG_FLOOR)
     step = max(1, _BLOCK // base.size)
-    for lo in range(0, r1.size, step):
-        hi = lo + step
-        logs = base + _occ_term(n1, r1[lo:hi, None])
-        logs += _occ_term(n2, r2[lo:hi, None])
-        logs -= shift[lo:hi, None]
-        out[lo:hi] = np.sum(np.exp(logs, out=logs), axis=1)
+    logs = np.empty((min(step, r1.size), base.size))
+    term = np.empty_like(logs)
+    with np.errstate(over="ignore"):
+        for lo in range(0, r1.size, step):
+            hi = min(lo + step, r1.size)
+            block, extra = logs[:hi - lo], term[:hi - lo]
+            np.multiply(ln1[lo:hi, None], n1, out=block)
+            block += base
+            np.multiply(ln2[lo:hi, None], n2, out=extra)
+            block += extra
+            block -= shift[lo:hi, None]
+            np.exp(block, out=block)
+            np.sum(block, axis=1, out=out[lo:hi])
     return out
-
-
-def _occ_term(n_arr, ratio):
-    """n * ln(ratio) with the n = 0, ratio = 0 corner fixed to 0."""
-    with np.errstate(invalid="ignore"):
-        return np.where(n_arr > 0, n_arr * _safe_log(ratio), 0.0)
 
 
 def _safe_log(x):

@@ -26,11 +26,14 @@ and chi_c^q is where d2P/dchi2 turns from negative to non-negative.
 
 from __future__ import annotations
 
+import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.linalg import lu_factor, lu_solve
 
 from . import spectral
@@ -163,10 +166,35 @@ def _ground_sector(*args):
     return _ground_block(*args).label
 
 
+# C entry points that set an OpenBLAS thread count, as the scipy-openblas
+# wheels (64- and 32-bit integer builds) and upstream OpenBLAS name them.
+_SET_BLAS_THREADS = ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Pool-worker initializer: one thread for each OpenBLAS bundled with
+    numpy or scipy.  A forked worker keeps its parent's thread count, and
+    several workers' BLAS threads then contend for the same cores.  Where
+    no bundled OpenBLAS is found, nothing changes."""
+    for pkg in (np, scipy):
+        libs = Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs"
+        for lib in sorted(libs.glob("*openblas*")):
+            handle = ctypes.CDLL(str(lib))
+            setter = next((getattr(handle, sym) for sym in _SET_BLAS_THREADS
+                           if hasattr(handle, sym)), None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
 def map_tasks(fn, tasks, workers: int = 1) -> list:
-    """[fn(*t) for t in tasks], in a pool of ``workers`` processes if > 1."""
+    """[fn(*t) for t in tasks], in a pool of ``workers`` processes if > 1,
+    each limited to one BLAS thread."""
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_one_blas_thread) as pool:
             return list(pool.map(fn, *zip(*tasks)))
     return [fn(*t) for t in tasks]
 

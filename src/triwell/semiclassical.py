@@ -94,35 +94,40 @@ def classical_hamiltonian(point: ClassicalPoint, params: ModelParams):
     return value if isinstance(value, np.ndarray) else float(value)
 
 
-def _gradient(w1: complex, w2: complex, params: ModelParams):
-    """Wirtinger gradient (dH/d conj(w1), dH/d conj(w2)) at a scalar point."""
+def _flow_terms(params: ModelParams) -> tuple:
+    """(N, omega_eff N, N (N - 1), kappa, 2 lam): the constants of the
+    w-chart flow, taken once per trajectory."""
+    n = params.n_particles
+    return n, params.omega_eff * n, n * (n - 1), params.kappa, 2.0 * params.lam
+
+
+def _gradient(w1: complex, w2: complex, terms: tuple):
+    """Wirtinger gradient (dH/d conj(w1), dH/d conj(w2)) at a scalar point,
+    with ``terms`` from ``_flow_terms``."""
     h1, h2, h3, d = _moments(w1, w2)
     a1, a2 = (w1 * w1.conjugate()).real, (w2 * w2.conjugate()).real
-    n = params.n_particles
-    lin = params.omega_eff * n / (d * d)
-    quad = n * (n - 1) / (d * d * d)
-    kappa, lam2 = params.kappa, 2.0 * params.lam
-
-    def component(wm, dh1, dh2, dh3):
-        return (lin * (dh1 * d - h1 * wm)
-                + quad * (kappa * (dh2 * d - 2.0 * h2 * wm)
-                          - lam2 * (dh3 * d - 2.0 * h3 * wm)))
-
-    return (component(w1, w2 + 1.0, 2.0 * a1 * w1,
-                      2.0 * w1 * w2.real + a2 + w2),
-            component(w2, w1 + 1.0, 2.0 * a2 * w2,
-                      2.0 * w2 * w1.real + a1 + w1))
+    _, n_omega, n_pairs, kappa, lam2 = terms
+    lin = n_omega / (d * d)
+    quad = n_pairs / (d * d * d)
+    return (lin * ((w2 + 1.0) * d - h1 * w1)
+            + quad * (kappa * (2.0 * a1 * w1 * d - 2.0 * h2 * w1)
+                      - lam2 * ((2.0 * w1 * w2.real + a2 + w2) * d
+                                - 2.0 * h3 * w1)),
+            lin * ((w1 + 1.0) * d - h1 * w2)
+            + quad * (kappa * (2.0 * a2 * w2 * d - 2.0 * h2 * w2)
+                      - lam2 * ((2.0 * w2 * w1.real + a1 + w1) * d
+                                - 2.0 * h3 * w2)))
 
 
-def _velocity(w1: complex, w2: complex, params: ModelParams):
+def _velocity(w1: complex, w2: complex, terms: tuple):
     """dw/dt = -i g^{-1} dH/d(conj w) at a scalar point.
 
     The coherent-state metric g = N (D 1 - w w^dag) / D^2 has the closed-form
     inverse g^{-1} = (D/N)(1 + w w^dag), since D = 1 + w^dag w.
     """
-    g1, g2 = _gradient(w1, w2, params)
+    g1, g2 = _gradient(w1, w2, terms)
     d = (w1 * w1.conjugate()).real + (w2 * w2.conjugate()).real + 1.0
-    scale = -1j * d / params.n_particles
+    scale = -1j * d / terms[0]
     proj = w1.conjugate() * g1 + w2.conjugate() * g2
     return scale * (g1 + w1 * proj), scale * (g2 + w2 * proj)
 
@@ -202,9 +207,9 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def _rhs(_t, y, params):
+def _rhs(_t, y, terms):
     x1, y1, x2, y2 = y.tolist()
-    v1, v2 = _velocity(complex(x1, y1), complex(x2, y2), params)
+    v1, v2 = _velocity(complex(x1, y1), complex(x2, y2), terms)
     return [v1.real, v1.imag, v2.real, v2.imag]
 
 
@@ -215,10 +220,11 @@ def integrate_trajectory(init: ClassicalPoint, params: ModelParams,
         raise ValueError("t_max and dt must be positive")
     y0 = [init.w1.real, init.w1.imag, init.w2.real, init.w2.imag]
     t_eval = np.arange(0.0, t_max + 0.5 * dt, dt)
+    terms = _flow_terms(params)
     last = None
     for rtol in (1e-10, 1e-12):
         sol = solve_ivp(_rhs, (0.0, t_max), y0, method="DOP853",
-                        t_eval=t_eval, rtol=rtol, atol=1e-12, args=(params,))
+                        t_eval=t_eval, rtol=rtol, atol=1e-12, args=(terms,))
         if not sol.success:
             raise IntegrationError(f"integrator failed: {sol.message}")
         point = ClassicalPoint(sol.y[0] + 1j * sol.y[1],
@@ -332,7 +338,7 @@ def _record_for(point: ClassicalPoint, params: ModelParams,
                 label: str = "other") -> FixedPointRecord:
     n = params.n_particles
     energy = classical_hamiltonian(point, params) / n
-    grad = np.array(_gradient(point.w1, point.w2, params)) / n
+    grad = np.array(_gradient(point.w1, point.w2, _flow_terms(params))) / n
     return FixedPointRecord(
         point=point,
         energy_per_particle=energy,

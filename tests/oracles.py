@@ -297,6 +297,34 @@ def w_velocity(w1, w2, params):
                                  w_gradient(w1, w2, params))
 
 
+def w_velocity_closed_form(w1, w2, params):
+    """dw/dt in closed form, with every constant read from ``params`` at
+    the point and the two gradient components from one shared formula.
+    Each product and sum runs in the order that ``semiclassical._velocity``
+    uses, so the two agree bit for bit."""
+    a1, a2 = (w1 * w1.conjugate()).real, (w2 * w2.conjugate()).real
+    x12 = (w1.conjugate() * w2).real
+    d = a1 + a2 + 1.0
+    h1 = 2.0 * (x12 + w1.real + w2.real)
+    h2 = a1 * a1 + a2 * a2 + 1.0
+    h3 = 2.0 * (a1 * w2.real + a2 * w1.real + x12)
+    n = params.n_particles
+    lin = params.omega_eff * n / (d * d)
+    quad = n * (n - 1) / (d * d * d)
+    kappa, lam2 = params.kappa, 2.0 * params.lam
+
+    def component(wm, dh1, dh2, dh3):
+        return (lin * (dh1 * d - h1 * wm)
+                + quad * (kappa * (dh2 * d - 2.0 * h2 * wm)
+                          - lam2 * (dh3 * d - 2.0 * h3 * wm)))
+
+    g1 = component(w1, w2 + 1.0, 2.0 * a1 * w1, 2.0 * w1 * w2.real + a2 + w2)
+    g2 = component(w2, w1 + 1.0, 2.0 * a2 * w2, 2.0 * w2 * w1.real + a1 + w1)
+    scale = -1j * d / n
+    proj = w1.conjugate() * g1 + w2.conjugate() * g2
+    return scale * (g1 + w1 * proj), scale * (g2 + w2 * proj)
+
+
 # ---------------------------------------------------------------------------
 # Canonical chart (sympy)
 # ---------------------------------------------------------------------------

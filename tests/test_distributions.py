@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import husimi_population_loop, husimi_quadrature_oracle
+from oracles import husimi_population_loop, husimi_quadrature_oracle, index_of
+from triwell import distributions
 from triwell.algebra import ModelParams, model_context
 from triwell.coherent import ClassicalPoint, QuantumState, coherent_state
+from triwell.fock import symmetry_sectors
 from triwell.distributions import (ScalarField2D, count_local_maxima,
                                    husimi_population, phase_distribution,
                                    phase_marginal_variance)
@@ -98,6 +100,42 @@ def test_husimi_blocks_equal_point_loop(n):
         assert np.array_equal(field.values, values)
     if n:
         assert np.all(field.values.diagonal() > 0.0)     # the shell points
+
+
+def _zero_amplitude_states(n):
+    """States with exact-zero amplitudes (base = -inf in the kernel): two
+    Fock vectors and the first A2 column, a signed six-state orbit sum."""
+    basis = model_context(n).basis
+    states = []
+    for occupation in ((0, 0, n), (2, n - 2, 0)):
+        v = np.zeros(basis.dimension, dtype=complex)
+        v[index_of(basis, occupation)] = 1.0
+        states.append(QuantumState(basis, v))
+    (a2,), = [isos for label, isos in symmetry_sectors(basis) if label == "A2"]
+    states.append(QuantumState(basis, a2[:, 0].toarray().ravel() + 0j))
+    return states
+
+
+@pytest.mark.parametrize("n", [7, 30])
+@pytest.mark.parametrize("rows_per_block", [4, 11, None])
+def test_husimi_blocks_equal_point_loop_on_zero_amplitudes(n, rows_per_block,
+                                                           monkeypatch):
+    """Bit for bit against the point loop where amplitudes vanish exactly,
+    on grids with I1 = 0 and I2 = 0 rows.  The 21 x 21 grid has 210 interior
+    points, so 4 and 11 points per block leave a ragged last block."""
+    if rows_per_block is not None:
+        monkeypatch.setattr(distributions, "_BLOCK",
+                            rows_per_block * model_context(n).basis.dimension)
+    full = np.linspace(0.0, n, 21)
+    edge = np.array([0.0, 0.5, n - 0.5, float(n)])
+    for state in _zero_amplitude_states(n):
+        assert np.any(state.amplitudes == 0.0)
+        for i1, i2 in [(full, full), (edge, full), (full, edge[::-1])]:
+            field = husimi_population(state, i1, i2)
+            values, mask = husimi_population_loop(state, i1, i2)
+            assert np.array_equal(field.mask, mask)
+            assert np.array_equal(field.values, values)
+            assert np.all(np.isfinite(field.values))
 
 
 def test_husimi_symmetry_under_mode_swap():

@@ -1,4 +1,6 @@
+import ctypes
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from triwell.algebra import (HamiltonianTerms, ModelContext, ModelParams,
 from triwell.coherent import ClassicalPoint, QuantumState, coherent_state
 from triwell.errors import BracketingError
 from triwell.purity import (critical_chi_q, generalized_purity,
-                            ground_state_purity, power_law_fit,
+                            ground_state_purity, map_tasks, power_law_fit,
                             purity_derivative, purity_scan)
 from triwell.spectral import ground_state, spectrum
 
@@ -438,3 +440,52 @@ def test_power_law_fit_input_guards():
         power_law_fit([10, 20, 40], [2.1, 2.0, 1.9], 2.0)
     with pytest.raises(ValueError):
         power_law_fit([10, 10, 10], [2.1, 2.05, 2.02], 2.0)
+
+
+def _openblas(prefix):
+    """{library: its C entry point named prefix + "num_threads"} for every
+    OpenBLAS bundled with numpy or scipy, as the scipy-openblas wheels and
+    upstream OpenBLAS name it."""
+    import scipy
+
+    found = {}
+    for pkg in (np, scipy):
+        libs = Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs"
+        for lib in sorted(libs.glob("*openblas*")):
+            handle = ctypes.CDLL(str(lib))
+            for sym in (f"scipy_openblas_{prefix}num_threads64_",
+                        f"scipy_openblas_{prefix}num_threads",
+                        f"openblas_{prefix}num_threads64_",
+                        f"openblas_{prefix}num_threads"):
+                if hasattr(handle, sym):
+                    fn = found[lib.name] = getattr(handle, sym)
+                    fn.argtypes = [ctypes.c_int] if prefix == "set_" else []
+                    fn.restype = None if prefix == "set_" else ctypes.c_int
+                    break
+    return found
+
+
+def _blas_threads(_task):
+    return {name: fn() for name, fn in _openblas("get_").items()}
+
+
+def test_pool_workers_run_one_blas_thread():
+    """A forked worker inherits its parent's OpenBLAS thread count;
+    ``map_tasks`` sets each worker back to one thread."""
+    setters = _openblas("set_")
+    if not setters:
+        pytest.skip("no OpenBLAS bundled with numpy or scipy")
+    before = _blas_threads(None)
+    for setter in setters.values():
+        setter(2)
+    try:
+        raised = _blas_threads(None)
+        reports = map_tasks(_blas_threads, [(k,) for k in range(4)], workers=2)
+        assert set(reports[0]) == set(setters)
+        assert all(threads == 1 for report in reports
+                   for threads in report.values())
+        assert _blas_threads(None) == raised
+    finally:
+        for name, setter in setters.items():
+            setter(before[name])
+    assert _blas_threads(None) == before

@@ -15,7 +15,8 @@ from oracles import (canonical_gradient, canonical_hamiltonian,
 from triwell.algebra import ModelParams
 from triwell.errors import BracketingError
 from triwell.semiclassical import (ClassicalPoint, _classify_stability,
-                                   _gradient, _velocity, _wirtinger_hessian,
+                                   _flow_terms, _gradient, _rhs, _velocity,
+                                   _wirtinger_hessian,
                                    bifurcation_scan, classical_hamiltonian,
                                    find_fixed_points, integrate_trajectory,
                                    level_crossing, linearization,
@@ -27,12 +28,14 @@ PARAMS = ModelParams.from_reduced(-1.0, 2.2, 0.15, 30)
 
 def w_gradient(point, params):
     """The library's closed-form dH/d(conj w) at a point, as an array."""
-    return np.array(_gradient(complex(point.w1), complex(point.w2), params))
+    return np.array(_gradient(complex(point.w1), complex(point.w2),
+                              _flow_terms(params)))
 
 
 def w_velocity(point, params):
     """The integrator's closed-form dw/dt at a point, as an array."""
-    return np.array(_velocity(complex(point.w1), complex(point.w2), params))
+    return np.array(_velocity(complex(point.w1), complex(point.w2),
+                              _flow_terms(params)))
 
 
 def test_coherent_energy_matches_quantum_expectation():
@@ -97,6 +100,30 @@ def test_closed_form_flow_matches_metric_solve(w1, w2, params):
         1e-12 * np.linalg.norm(ref) + 1e-14 * grad_scale * d ** 2 / n)
 
 
+def test_rhs_equals_closed_form_oracle_bit_for_bit():
+    """The integrator's right-hand side, with its constants taken once per
+    trajectory, repeats the oracle's per-point arithmetic exactly: random
+    points, w = 0, large |w|, lam = 0 and lam != 0, both signs of Omega."""
+    rng = np.random.default_rng(20)
+    points = [0j, 1e-9j, 1e3 - 2e3j, -4e5 + 1e5j, 1.0 + 0j,
+              *(rng.normal(size=12) * 3.0 + 1j * rng.normal(size=12))]
+    cases = [ModelParams.from_reduced(-1.0, 1.5, 0.0, 30),
+             ModelParams.from_reduced(-1.0, 1.5, 0.3, 30),
+             ModelParams.from_reduced(1.0, -2.2, -0.7, 2),
+             ModelParams(-1.0, 0.3, 0.1, 9), ModelParams(0.5, 0.0, -0.2, 500)]
+    for params in cases:
+        terms = _flow_terms(params)
+        for w1 in points:
+            for w2 in points:
+                v1, v2 = oracles.w_velocity_closed_form(w1, w2, params)
+                want = np.array([v1.real, v1.imag, v2.real, v2.imag])
+                y = np.array([w1.real, w1.imag, w2.real, w2.imag])
+                got = np.array(_rhs(0.0, y, terms))
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                assert np.array_equal(np.array(_velocity(w1, w2, terms)),
+                                      np.array([v1, v2]))
+
+
 def test_energy_samples_on_arrays_match_scalar_calls():
     rng = np.random.default_rng(5)
     w1 = rng.normal(size=40) + 1j * rng.normal(size=40)
@@ -143,6 +170,7 @@ def test_wirtinger_hessian_matches_gradient_difference(n):
     of the closed-form gradient grad = dH/d(conj w)."""
     rng = np.random.default_rng(n)
     params = ModelParams.from_reduced(-1.0, 2.2, 0.15, n)
+    terms = _flow_terms(params)
     eps = 1e-6
     for _ in range(10):
         w = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -151,10 +179,10 @@ def test_wirtinger_hessian_matches_gradient_difference(n):
         for m in range(2):
             dx = np.zeros(2, complex)
             dx[m] = eps
-            gx = (np.array(_gradient(*(w + dx), params))
-                  - np.array(_gradient(*(w - dx), params))) / (2 * eps)
-            gy = (np.array(_gradient(*(w + 1j * dx), params))
-                  - np.array(_gradient(*(w - 1j * dx), params))) / (2 * eps)
+            gx = (np.array(_gradient(*(w + dx), terms))
+                  - np.array(_gradient(*(w - dx), terms))) / (2 * eps)
+            gy = (np.array(_gradient(*(w + 1j * dx), terms))
+                  - np.array(_gradient(*(w - 1j * dx), terms))) / (2 * eps)
             # d/dw = (d/dx - i d/dy)/2, d/d(conj w) = (d/dx + i d/dy)/2
             ref_a[:, m] = (gx - 1j * gy) / 2
             ref_b[:, m] = (gx + 1j * gy) / 2
