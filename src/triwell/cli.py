@@ -27,10 +27,12 @@ import numpy as np
 
 from . import __version__
 from .algebra import ModelParams
-from .errors import NumericalError
-from .purity import critical_chi_q, map_tasks, power_law_fit, purity_scan
+from .errors import BracketingError, NumericalError
+from .purity import (_one_blas_thread, critical_chi_q, map_tasks,
+                     power_law_fit, purity_scan)
 from .semiclassical import (ClassicalPoint, find_fixed_points,
-                            integrate_trajectory, theta_min_analysis)
+                            integrate_trajectory, level_crossing,
+                            theta_min_analysis)
 from .spectral import spectrum
 
 _CSV_CHUNK_ROWS = 4096              # rows ``write_csv`` formats at a time
@@ -166,20 +168,24 @@ def cmd_scaling(args) -> dict:
     if len(args.n) < 2:
         raise UsageError("scaling requires at least two --n values")
     mu = args.mu or 0.0
+    try:
+        chi_c = level_crossing(mu) if args.chi_c is None else args.chi_c
+    except BracketingError as exc:
+        raise BracketingError(f"{exc}; give --chi-c") from exc
     window = (args.window_min, args.window_max)
     tasks = [(args.omega, mu, n, window, args.tol) for n in args.n]
     results = dict(map_tasks(_scaling_task, tasks, args.workers))
     ns = sorted(results)
     chi_cq = [results[n] for n in ns]
     meta = {
-        "params": {"omega": args.omega, "mu": mu, "chi_c": args.chi_c},
+        "params": {"omega": args.omega, "mu": mu, "chi_c": chi_c},
         "n_values": ns,
         "window": list(window),
         "tolerance": args.tol,
         "workers": args.workers,
     }
     if len(ns) >= 3:
-        fit = power_law_fit(ns, chi_cq, args.chi_c)
+        fit = power_law_fit(ns, chi_cq, chi_c)
         meta["fit"] = {
             "exponent": fit.exponent,
             "exponent_stderr": fit.exponent_stderr,
@@ -377,8 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-max", type=float, default=2.6)
     p.add_argument("--tol", type=float, default=1e-3,
                    help="tolerance relative to chi_c^q minus --window-min")
-    p.add_argument("--chi-c", type=float, default=2.0,
-                   help="semiclassical critical value used in the fit")
+    p.add_argument("--chi-c", type=float, default=None,
+                   help="semiclassical chi_c of the fit (default "
+                        "2 (3 + 6 mu + 2 mu^2) / (3 + 4 mu), mu >= -1/2)")
     _add_common(p)
     p.set_defaults(func=cmd_scaling)
 
@@ -444,6 +451,7 @@ def _with_config(argv) -> list:
 
 
 def main(argv=None) -> int:
+    _one_blas_thread()      # bytes independent of OPENBLAS_NUM_THREADS
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser().parse_args(_with_config(argv))

@@ -133,6 +133,8 @@ def _ground_block(omega: float, mu: float, n_particles: int,
     ground state (omega < 0, mu = 0) only the A1 block is solved; elsewhere
     each sector's lowest level is, and ``spectral.sector_order`` picks the
     ground level among them."""
+    if n_particles == 0:
+        raise ValueError("purity is undefined for zero particles")
     params = ModelParams.from_reduced(omega, chi, mu, n_particles)
     sectors = model_context(n_particles).sectors
     if omega < 0 and mu == 0:
@@ -151,8 +153,6 @@ def ground_state_purity(omega: float, mu: float, n_particles: int,
                         chi: float) -> float:
     """Generalized purity of the ground level at reduced parameters; an E
     doublet counts as the mixture of its two partners."""
-    if n_particles == 0:
-        raise ValueError("purity is undefined for zero particles")
     return _ground_block(omega, mu, n_particles, chi).purity
 
 
@@ -162,8 +162,10 @@ def purity_derivative(omega: float, mu: float, n_particles: int,
     return _ground_block(omega, mu, n_particles, chi).derivatives[0]
 
 
-def _ground_sector(*args):
-    return _ground_block(*args).label
+def _purity_and_sector(*args) -> tuple:
+    """(P, sector label) of the ground level at (omega, mu, N, chi)."""
+    level = _ground_block(*args)
+    return level.purity, level.label
 
 
 # C entry points that set an OpenBLAS thread count, as the scipy-openblas
@@ -174,10 +176,10 @@ _SET_BLAS_THREADS = ("scipy_openblas_set_num_threads64_",
 
 
 def _one_blas_thread() -> None:
-    """Pool-worker initializer: one thread for each OpenBLAS bundled with
-    numpy or scipy.  A forked worker keeps its parent's thread count, and
-    several workers' BLAS threads then contend for the same cores.  Where
-    no bundled OpenBLAS is found, nothing changes."""
+    """One thread for each OpenBLAS bundled with numpy or scipy, in pool
+    workers (which would contend for the cores) and in ``cli.main`` (so
+    results do not depend on the thread count).  Where no bundled
+    OpenBLAS is found, nothing changes."""
     for pkg in (np, scipy):
         libs = Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs"
         for lib in sorted(libs.glob("*openblas*")):
@@ -207,10 +209,8 @@ def purity_scan(omega: float, mu: float, n_particles: int, chi_grid,
     if grid.size < 1 or np.any(np.diff(grid) <= 0):
         raise ValueError("chi grid must be non-empty and strictly ascending")
     tasks = [(omega, mu, n_particles, chi) for chi in grid]
-    purity = np.array(map_tasks(ground_state_purity, tasks, workers))
-    # A1 by Perron-Frobenius at omega < 0, mu = 0, as in ``_ground_block``.
-    sectors = (("A1",) * grid.size if omega < 0 and mu == 0
-               else tuple(map_tasks(_ground_sector, tasks, workers)))
+    purity, sectors = zip(*map_tasks(_purity_and_sector, tasks, workers))
+    purity = np.array(purity)
     derivative = np.full_like(purity, np.nan)
     if grid.size >= 3:
         label = np.array(sectors)

@@ -369,31 +369,19 @@ def bifurcation_scan(mu: float, chi_range: tuple) -> float:
     return float(inside[0])
 
 
-def level_crossing(mu: float, chi_search: tuple = (1.0, 4.0),
-                   tol: float = 1e-6) -> float:
-    """chi_c(mu): where the 1+ and 4+ fixed points have equal energy, in
-    energy-minimum units (Omega < 0), where the ground branch switches from
-    1+ to 4+.  4+ is chosen by ``_four_plus`` as in ``find_fixed_points``;
-    the flow matrix J depends on Omega, chi and mu alone, so N = 2 serves."""
-    chi_plus = bifurcation_scan(mu, chi_search)
-
-    def energy_gap(chi):
-        pair = _twin_roots(chi, mu)[1]
-        if len(pair) != 2:
-            raise BracketingError(f"4+ branch missing at chi={chi:g}")
-        params = ModelParams.from_reduced(-1.0, chi, mu, 2)
-        energy = -twin_energy_reduced(pair, chi, mu)    # H/N at Omega = -1
-        four = _four_plus([_classify_stability(linearization(
-            ClassicalPoint.from_twin_w(w), params)) for w in pair], energy)
-        return float(energy[four] + twin_energy_reduced(1.0, chi, mu))
-
-    lo = chi_plus + 1e-3
-    hi = float(chi_search[1])
-    if energy_gap(lo) * energy_gap(hi) > 0:
+def level_crossing(mu: float) -> float:
+    """chi_c(mu) = 2 (3 + 6 mu + 2 mu^2) / (3 + 4 mu), where the 1+ and 4+
+    fixed points have equal energy (the ground branch at Omega < 0 turns
+    from 1+ to 4+).  There C of ``_twin_cubic_roots`` factors as
+    (2 (1 + mu) w - (1 + 2 mu)) (2 (3 + 4 mu) w^2 - 4 mu w - (3 + 4 mu))
+    / (3 + 4 mu); its root w4 = (1 + 2 mu) / (2 + 2 mu) is the stable 4+
+    member of the pair, at the reduced twin energy of w = 1.  Below
+    mu = -1/2, w4 < 0 and no pair exists at chi_c: BracketingError there
+    and at nan or inf."""
+    if not -0.5 <= mu < np.inf:
         raise BracketingError(
-            f"no 1+/4+ crossing between chi={lo:g} and chi={hi:g}")
-    from scipy.optimize import brentq
-    return float(brentq(energy_gap, lo, hi, xtol=tol))
+            f"no 1+/4+ crossing at mu={mu:g}: chi_c(mu) needs mu >= -1/2")
+    return float(2.0 * (3.0 + 6.0 * mu + 2.0 * mu * mu) / (3.0 + 4.0 * mu))
 
 
 # ---------------------------------------------------------------------------

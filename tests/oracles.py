@@ -6,15 +6,20 @@ import functools
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from triwell.algebra import (ModelParams, generators, hamiltonian_terms,
                              model_context)
 from triwell.coherent import (ClassicalPoint, QuantumState, coherent_state,
                               log_multinomial)
+from triwell.errors import BracketingError
 from triwell.fock import (FockBasis, build_basis, check_hermitian, hop_operator,
                          lex_rank)
 from triwell.purity import generalized_purity
+from triwell.semiclassical import (_classify_stability, _four_plus,
+                                   _twin_roots, bifurcation_scan,
+                                   linearization, twin_energy_reduced)
 
 
 class ModelConsistencyError(RuntimeError):
@@ -400,6 +405,36 @@ def canonical_flow_matrix(i1, i2, phi1, phi2, params):
     s[0, 2] = s[1, 3] = -1.0
     s[2, 0] = s[3, 1] = 1.0
     return s @ hess
+
+
+# ---------------------------------------------------------------------------
+# Level crossing by root search
+# ---------------------------------------------------------------------------
+
+def level_crossing_root_search(mu: float, chi_search: tuple = (1.0, 4.0),
+                               tol: float = 1e-6) -> float:
+    """chi_c(mu) by ``brentq`` on the 1+/4+ energy gap in energy-minimum
+    units (Omega < 0), between chi_plus(mu) + 1e-3 and chi_search[1].
+    4+ is chosen by ``_four_plus`` as in ``find_fixed_points``; the flow
+    matrix J depends on Omega, chi and mu alone, so N = 2 serves."""
+    chi_plus = bifurcation_scan(mu, chi_search)
+
+    def energy_gap(chi):
+        pair = _twin_roots(chi, mu)[1]
+        if len(pair) != 2:
+            raise BracketingError(f"4+ branch missing at chi={chi:g}")
+        params = ModelParams.from_reduced(-1.0, chi, mu, 2)
+        energy = -twin_energy_reduced(pair, chi, mu)    # H/N at Omega = -1
+        four = _four_plus([_classify_stability(linearization(
+            ClassicalPoint.from_twin_w(w), params)) for w in pair], energy)
+        return float(energy[four] + twin_energy_reduced(1.0, chi, mu))
+
+    lo = chi_plus + 1e-3
+    hi = float(chi_search[1])
+    if energy_gap(lo) * energy_gap(hi) > 0:
+        raise BracketingError(
+            f"no 1+/4+ crossing between chi={lo:g} and chi={hi:g}")
+    return float(brentq(energy_gap, lo, hi, xtol=tol))
 
 
 # ---------------------------------------------------------------------------

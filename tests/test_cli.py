@@ -9,6 +9,7 @@ import pytest
 
 from triwell import cli
 from triwell.cli import _fmt, build_parser, main, write_csv
+from triwell.purity import power_law_fit
 
 
 def read(path):
@@ -253,6 +254,45 @@ def test_numerical_failure_exits_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert not (tmp_path / "scaling.csv").exists()
+
+
+def test_scaling_fits_against_chi_c_of_mu(tmp_path):
+    """Without --chi-c, a --mu run fits against its own chi_c(mu)."""
+    assert main(["scaling", "--mu", "0.1", "--n", "10", "12", "14",
+                 "--out", str(tmp_path)]) == 0
+    meta = read_sidecar(tmp_path / "scaling.meta.json", "scaling")
+    assert meta["params"]["chi_c"] == 2.1294117647058823
+    rows = [line.split(",") for line in
+            read(tmp_path / "scaling.csv").splitlines()[1:]]
+    fit = power_law_fit([int(n) for n, _ in rows],
+                        [float(c) for _, c in rows], 2.1294117647058823)
+    assert meta["fit"]["exponent"] == fit.exponent
+
+
+def test_scaling_without_chi_c_below_its_domain_exits_three(tmp_path,
+                                                            capsys):
+    assert main(["scaling", "--mu", "-0.6", "--n", "10", "12", "14",
+                 "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "--chi-c" in err
+    assert not (tmp_path / "scaling.csv").exists()
+
+
+def test_serial_output_does_not_depend_on_blas_threads(tmp_path):
+    """``main`` runs on one BLAS thread whatever OPENBLAS_NUM_THREADS says,
+    so a serial scaling run writes the same bytes with 1 and 2 (fresh
+    interpreters, since the variable is read when OpenBLAS loads)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    for threads in ("1", "2"):
+        subprocess.run(
+            [sys.executable, "-m", "triwell.cli", "scaling", "--n", "40",
+             "50", "60", "--window-min", "2.0", "--window-max", "2.6",
+             "--out", str(tmp_path / threads)],
+            env={**os.environ, "PYTHONPATH": str(src),
+                 "OPENBLAS_NUM_THREADS": threads},
+            check=True, timeout=120)
+    assert ((tmp_path / "1" / "scaling.csv").read_bytes()
+            == (tmp_path / "2" / "scaling.csv").read_bytes())
 
 
 def test_config_file_defaults_and_precedence(tmp_path):

@@ -18,6 +18,7 @@ from triwell.errors import BracketingError
 from triwell.purity import (critical_chi_q, generalized_purity,
                             ground_state_purity, map_tasks, power_law_fit,
                             purity_derivative, purity_scan)
+from triwell.semiclassical import level_crossing
 from triwell.spectral import ground_state, spectrum
 
 
@@ -292,24 +293,28 @@ def test_exact_derivative_needs_two_particles():
 
 
 def test_purity_scan_solves_each_point_once(monkeypatch):
-    """At omega < 0, mu = 0 every grid point is one ``ground_state_purity``
-    call and one ground-block solve; the A1 labels need no solve."""
-    calls = {"purity": 0, "block": 0}
-    point, block = purity.ground_state_purity, purity._ground_block
+    """Every grid point is one ground-block solve, which gives both P and
+    the sector label, on Perron-Frobenius (A1 alone) and off it."""
+    block = purity._ground_block
+    grid = np.linspace(0.0, 3.0, 7)
+    for omega, mu in ((-1.0, 0.0), (1.0, 0.2)):
+        calls = []
 
-    def counted_point(*args):
-        calls["purity"] += 1
-        return point(*args)
+        def counted_block(*args):
+            calls.append(args)
+            return block(*args)
 
-    def counted_block(*args):
-        calls["block"] += 1
-        return block(*args)
+        monkeypatch.setattr(purity, "_ground_block", counted_block)
+        scan = purity_scan(omega, mu, 10, grid)
+        assert len(calls) == 7
+        assert scan.sectors == tuple(block(omega, mu, 10, chi).label
+                                     for chi in grid)
+    assert purity_scan(-1.0, 0.0, 10, grid).sectors == ("A1",) * 7
 
-    monkeypatch.setattr(purity, "ground_state_purity", counted_point)
-    monkeypatch.setattr(purity, "_ground_block", counted_block)
-    scan = purity_scan(-1.0, 0.0, 10, np.linspace(0.0, 3.0, 7))
-    assert calls == {"purity": 7, "block": 7}
-    assert scan.sectors == ("A1",) * 7
+
+def test_purity_scan_zero_particles_rejected():
+    with pytest.raises(ValueError, match="zero particles"):
+        purity_scan(-1.0, 0.0, 0, [0.0, 1.0])
 
 
 def test_purity_derivative_builds_the_a1_hamiltonian_once(monkeypatch):
@@ -380,6 +385,21 @@ def test_critical_chi_matches_a_fine_golden_search(n):
                           method="golden", options={"xtol": 1e-10})
     found = critical_chi_q(-1.0, 0.0, n, window, tol=1e-3)
     assert found == pytest.approx(ref.x, abs=1e-7)
+
+
+# chi_c^q - chi_c(mu) at N = 20 and 40 on the window (chi_c, chi_c + 0.8),
+# tol 1e-6, as first measured.
+_EXCESS_ALONG_MU = {-0.3: (0.02173, 0.00724), -0.1: (0.11922, 0.05195),
+                    0.1: (0.26399, 0.13460), 0.3: (0.43287, 0.23876)}
+
+
+@pytest.mark.parametrize("mu", sorted(_EXCESS_ALONG_MU))
+def test_critical_chi_approaches_chi_c_from_above_along_mu(mu):
+    chi_c = level_crossing(mu)
+    excess = [critical_chi_q(-1.0, mu, n, (chi_c, chi_c + 0.8), tol=1e-6)
+              - chi_c for n in (20, 40)]
+    assert 0.0 < excess[1] < excess[0]
+    assert excess == pytest.approx(_EXCESS_ALONG_MU[mu], abs=1e-5)
 
 
 def test_critical_chi_synthetic_oracle():

@@ -478,7 +478,9 @@ def test_saddle_node_is_where_the_pair_appears():
 
 
 def test_level_crossing_at_two():
-    assert level_crossing(0.0) == pytest.approx(2.0, abs=1e-6)
+    """Exactly 2 at mu = 0, and exactly 1 at the domain's edge mu = -1/2."""
+    assert level_crossing(0.0) == 2.0
+    assert level_crossing(-0.5) == 1.0
 
 
 @pytest.mark.parametrize("mu", [-0.3, 0.0, 0.3])
@@ -495,6 +497,61 @@ def test_level_crossing_is_where_one_plus_and_four_plus_meet(mu):
 
     assert abs(gap(chi_c)) < 1e-6
     assert gap(chi_c - 1e-3) * gap(chi_c + 1e-3) < 0
+
+
+def test_level_crossing_identities_in_sympy():
+    """The numerator of d/dw of the reduced twin energy is -4 (w - 1) C(w);
+    at chi_c(mu) C factors with the root w4, and the reduced twin energy
+    at w4 equals that at w = 1."""
+    sym = pytest.importorskip("sympy")
+    w, chi, mu = sym.symbols("w chi mu", real=True)
+    d = 2 * w ** 2 + 1
+    energy = ((1 + 2 * mu) * (2 * w ** 2 + 4 * w) / d
+              + chi * (2 * w ** 4 + 1) / d ** 2
+              - 2 * mu * (4 * w ** 3 + 2 * w ** 2) / d ** 2)
+    rng = np.random.default_rng(5)
+    args = rng.normal(size=(3, 20))
+    np.testing.assert_allclose(sym.lambdify((w, chi, mu), energy)(*args),
+                               twin_energy_reduced(*args), atol=1e-13)
+    cubic = (4 * (1 + mu) * w ** 3 + (2 - 2 * chi - 4 * mu) * w ** 2
+             + (2 - 2 * chi + 2 * mu) * w + (1 + 2 * mu))
+    assert sym.simplify(sym.diff(energy, w) * d ** 3
+                        + 4 * (w - 1) * cubic) == 0
+    chi_c = 2 * (3 + 6 * mu + 2 * mu ** 2) / (3 + 4 * mu)
+    w4 = (1 + 2 * mu) / (2 + 2 * mu)
+    factored = ((2 * (1 + mu) * w - (1 + 2 * mu))
+                * (2 * (3 + 4 * mu) * w ** 2 - 4 * mu * w - (3 + 4 * mu))
+                / (3 + 4 * mu))
+    assert sym.simplify(cubic.subs(chi, chi_c) - factored) == 0
+    assert sym.simplify((energy.subs(w, w4) - energy.subs(w, 1))
+                        .subs(chi, chi_c)) == 0
+
+
+@pytest.mark.parametrize("mu", [-0.4, -0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3,
+                                0.5, 1.0])
+def test_level_crossing_matches_the_root_search(mu):
+    reference = oracles.level_crossing_root_search(mu, (0.5, 6.0), tol=1e-14)
+    assert level_crossing(mu) == pytest.approx(reference, rel=0, abs=1e-12)
+
+
+def test_level_crossing_is_the_four_plus_crossing_on_its_domain():
+    """On mu in [-1/2, 10], the root w4 = (1 + 2 mu) / (2 + 2 mu) is the
+    4+ record of find_fixed_points at chi_c, at the energy of 1+."""
+    for mu in np.linspace(-0.5, 10.0, 43):
+        records = {r.label: r for r in find_fixed_points(
+            ModelParams.from_reduced(-1.0, level_crossing(mu), mu, 30))}
+        four, one = records["4+"], records["1+"]
+        assert four.point.w1 == pytest.approx((1 + 2 * mu) / (2 + 2 * mu),
+                                              abs=1e-9)
+        assert four.stability == "stable-center"
+        assert (abs(four.energy_per_particle - one.energy_per_particle)
+                <= 1e-12 * abs(one.energy_per_particle))
+
+
+@pytest.mark.parametrize("mu", [-0.505, -0.6, -1.0, -2.0, math.nan])
+def test_level_crossing_outside_its_domain(mu):
+    with pytest.raises(BracketingError):
+        level_crossing(mu)
 
 
 def test_trajectory_conserves_energy_and_twin_symmetry():
