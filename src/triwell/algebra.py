@@ -12,9 +12,9 @@ pairs (1,3), (2,1), (3,2).  These are the unique Hermitian bilinears
 consistent with the generator form of the Hamiltonian and with the
 coherent-state purity normalization.
 
-``model_context(N)`` builds the basis, the S3 isometries and the full-space
-(T, K, V) once per N; the shared full-space pattern, each sector's blocks
-and the generators wait for their first read.
+``model_context(N)`` builds the basis and the full-space (T, K, V) once
+per N; the full-space pattern, each sector's isometries and blocks, and the
+generators wait for their first read (an A1-only run builds no A2 or E).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .fock import (FockBasis, build_basis, check_hermitian, hop_operator,
-                   lex_rank, symmetry_sectors)
+from .fock import (SECTOR_COLUMNS, FockBasis, build_basis, check_hermitian,
+                   hop_operator, lex_rank, sector_isometries)
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,8 @@ class HamiltonianTerms:
     """T, K and V of ``hamiltonian_terms`` on one shared CSR pattern.
 
     ``values`` holds the three matrices' entries on that pattern, so that
-    H = omega_eff T + kappa K - 2 lam V is one elementwise sum instead of
-    four sparse-matrix operations.
+    H = omega_eff T + kappa K - 2 lam V is one elementwise sum, stored as
+    CSR (``hamiltonian``) or added into a dense array (``dense``).
     """
 
     indptr: np.ndarray
@@ -160,11 +160,25 @@ class HamiltonianTerms:
     def dimension(self) -> int:
         return self.indptr.size - 1
 
-    def hamiltonian(self, params: ModelParams) -> sp.csr_matrix:
+    def _data(self, params: ModelParams) -> np.ndarray:
         t, k, v = self.values
-        data = params.omega_eff * t + params.kappa * k - 2.0 * params.lam * v
-        return sp.csr_matrix((data, self.indices, self.indptr),
+        return params.omega_eff * t + params.kappa * k - 2.0 * params.lam * v
+
+    def hamiltonian(self, params: ModelParams) -> sp.csr_matrix:
+        return sp.csr_matrix((self._data(params), self.indices, self.indptr),
                              shape=(self.dimension,) * 2)
+
+    @cached_property
+    def _flat(self) -> np.ndarray:
+        """Row-major dense position of each entry, built on first use."""
+        rows = np.repeat(np.arange(self.dimension), np.diff(self.indptr))
+        return rows * self.dimension + self.indices
+
+    def dense(self, params: ModelParams) -> np.ndarray:
+        """``hamiltonian(params).toarray()`` bit for bit, without the CSR."""
+        h = np.zeros(self.dimension ** 2)
+        h[self._flat] += self._data(params)
+        return h.reshape(self.dimension, -1)
 
     @cached_property
     def tunneling_collision(self) -> sp.csr_matrix:
@@ -183,13 +197,17 @@ class Sector:
     the real blocks B^T T B, B^T K B, B^T V B of the Hamiltonian terms.
 
     ``isometries`` holds one (D, d) matrix for A1 and A2 and the two
-    partners for E, which share the block.  ``terms`` is projected from the
-    full-space ``operators`` on first read.
+    partners for E, which share the block.  Both are built on first read,
+    ``terms`` by projecting the full-space ``operators``.
     """
 
     label: str
-    isometries: tuple
+    basis: FockBasis
     operators: tuple                # full-space (T, K, V), CSR
+
+    @cached_property
+    def isometries(self) -> tuple:
+        return sector_isometries(self.basis, self.label)
 
     @cached_property
     def terms(self) -> HamiltonianTerms:
@@ -232,4 +250,5 @@ def model_context(n_particles: int) -> ModelContext:
     basis = build_basis(n_particles)
     ops = hamiltonian_terms(basis)
     return ModelContext(basis, ops, tuple(
-        Sector(*sector, ops) for sector in symmetry_sectors(basis)))
+        Sector(label, basis, ops) for label, columns in SECTOR_COLUMNS.items()
+        if np.take(columns, basis.orbits[2]).any()))

@@ -4,12 +4,14 @@ S3 symmetry sectors.
 The basis enumerates occupation triples (n1, n2, n3) with n1 + n2 + n3 = N
 in lexicographic order on (n1, n2); n3 is implied, and ``lex_rank`` gives
 the position of a triple in closed form.  All bilinears a_i^dag a_j are
-realized as real sparse matrices on this basis.
+realized as real sparse matrices on this basis, and each S3 sector's
+isometries are built on their own from the basis' orbits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +40,15 @@ class FockBasis:
     @property
     def dimension(self) -> int:
         return self.states.shape[0]
+
+    @cached_property
+    def orbits(self) -> tuple:
+        """S3 orbit index and kind of each state, and kind of each orbit."""
+        desc = -np.sort(-self.states, axis=1)
+        _, rep, orbit = np.unique(lex_rank(self.total_particles, *desc.T[:2]),
+                                  return_index=True, return_inverse=True)
+        kind = 1 + (desc[:, 0] != desc[:, 1]) + (desc[:, 1] != desc[:, 2])
+        return orbit, kind, kind[rep]       # rep: one state of each orbit
 
 
 def build_basis(n_particles: int) -> FockBasis:
@@ -92,8 +103,12 @@ _E_PARTNERS = np.array([[2.0, -1.0, -1.0],
                         [0.0, np.sqrt(3.0), -np.sqrt(3.0)]]) / np.sqrt(6.0)
 
 
-def symmetry_sectors(basis: FockBasis) -> list:
-    """Real orthonormal isometries onto the S3 irreducible sectors.
+# Columns of A1, A2, E from an orbit of 1, 2 or 3 distinct occupations (kind).
+SECTOR_COLUMNS = {"A1": (0, 1, 1, 1), "A2": (0, 0, 0, 1), "E": (0, 0, 1, 2)}
+
+
+def sector_isometries(basis: FockBasis, label: str) -> tuple:
+    """Real orthonormal isometries onto one S3 irreducible sector.
 
     Mode permutations map basis states onto basis states, so the orbit of a
     triple spans an invariant subspace.  An orbit of one state (all
@@ -104,54 +119,45 @@ def symmetry_sectors(basis: FockBasis) -> list:
     orbits) or of the largest one (six-state orbits); the second E copy of
     a six-state orbit multiplies the other partner by the permutation sign.
 
-    Returns [(label, isometries)] for the non-empty sectors in the order
-    A1, A2, E; each isometry is a (D, d) CSR matrix.  E has two isometries,
-    the partners even and odd under the swap of modes 2 and 3, on which an
-    S3-invariant operator has the same block, so the sector dimensions
-    satisfy d_A1 + d_A2 + 2 d_E = D.
+    Returns one (D, d) CSR matrix for A1 and A2, and for E two: the partners
+    even and odd under the swap of modes 2 and 3, on which an S3-invariant
+    operator has the same block (d_A1 + d_A2 + 2 d_E = D).
     """
-    n = basis.total_particles
-    occ = basis.states
-    dim = basis.dimension
-    desc = -np.sort(-occ, axis=1)
-    _, orbit = np.unique(lex_rank(n, desc[:, 0], desc[:, 1]),
-                         return_inverse=True)
-    # number of distinct occupations: 1, 2 or 3
-    kind = 1 + (desc[:, 0] != desc[:, 1]) + (desc[:, 1] != desc[:, 2])
-    orbit_kind = np.zeros(orbit.max() + 1, dtype=int)
-    orbit_kind[orbit] = kind
+    occ, dim = basis.states, basis.dimension
+    orbit, kind, orbit_kind = basis.orbits
+    columns = np.take(SECTOR_COLUMNS[label], orbit_kind)
+    shape = (dim, int(columns.sum()))
+    first = (np.cumsum(columns) - columns)[orbit]   # orbit's first column
+    if label == "A1":
+        norm = 1.0 / np.sqrt(np.array([0.0, 1.0, 3.0, 6.0])[kind])
+        return (_isometry(np.arange(dim), first, norm, shape),)
     inversions = np.sum(occ[:, [0, 0, 1]] < occ[:, [1, 2, 2]], axis=1)
     sign = 1.0 - 2.0 * (inversions % 2)
+    six = np.flatnonzero(kind == 3)
+    if label == "A2":
+        return (_isometry(six, first[six], sign[six] / np.sqrt(6.0), shape),)
     odd_one = np.where(occ[:, 0] == occ[:, 1], 2,
                        np.where(occ[:, 0] == occ[:, 2], 1, 0))
     pos = np.where(kind == 2, odd_one, np.argmax(occ, axis=1))
-
-    a1 = _isometry(dim, np.arange(dim), orbit,
-                   1.0 / np.sqrt(np.array([0.0, 1.0, 3.0, 6.0])[kind]),
-                   orbit_kind.size)
-    six = np.flatnonzero(kind == 3)
-    a2_col = np.cumsum(orbit_kind == 3) - 1
-    a2 = _isometry(dim, six, a2_col[orbit[six]], sign[six] / np.sqrt(6.0),
-                   int(np.sum(orbit_kind == 3)))
-
-    width = np.array([0, 0, 1, 2])[orbit_kind]
-    start = np.cumsum(width) - width
     carry = np.flatnonzero(kind > 1)
     rows = np.concatenate([carry, six])
-    cols = np.concatenate([start[orbit[carry]], start[orbit[six]] + 1])
+    cols = np.concatenate([first[carry], first[six] + 1])
     weight = np.where(kind == 2, 1.0, np.sqrt(0.5))
     e1, e2 = _E_PARTNERS[0][pos], _E_PARTNERS[1][pos]
     even = np.concatenate([weight[carry] * e1[carry],
                            weight[six] * sign[six] * e2[six]])
     odd = np.concatenate([weight[carry] * e2[carry],
                           -weight[six] * sign[six] * e1[six]])
-    e_isometries = tuple(_isometry(dim, rows, cols, v, int(width.sum()))
-                         for v in (even, odd))
-    sectors = [("A1", (a1,)), ("A2", (a2,)), ("E", e_isometries)]
-    return [(label, isos) for label, isos in sectors if isos[0].shape[1]]
+    return tuple(_isometry(rows, cols, v, shape) for v in (even, odd))
 
 
-def _isometry(dim, rows, cols, vals, width):
-    m = sp.csr_matrix((vals, (rows, cols)), shape=(dim, width))
+def symmetry_sectors(basis: FockBasis) -> list:
+    """[(label, ``sector_isometries``)] of the non-empty sectors, A1, A2, E."""
+    return [(label, isos) for label in SECTOR_COLUMNS
+            for isos in [sector_isometries(basis, label)] if isos[0].shape[1]]
+
+
+def _isometry(rows, cols, vals, shape):
+    m = sp.csr_matrix((vals, (rows, cols)), shape=shape)
     m.eliminate_zeros()
     return m

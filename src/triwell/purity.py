@@ -111,12 +111,13 @@ class GroundLevel:
         if self.n_particles < 2:
             raise ValueError("the exact dP/dchi needs N >= 2")
         v, (tv, kv), dim = self.v, self.tv_kv, self.v.size
-        h = (self.block if isinstance(self.block, np.ndarray)
-             else self.block.toarray())
-        a = np.block([[h, v[:, None]], [v, 0.0]])
+        a, rhs = np.zeros((dim + 1, dim + 1)), np.zeros((2, dim + 1))
+        a[:dim, :dim] = (self.block if isinstance(self.block, np.ndarray)
+                         else self.block.toarray())
+        a[dim, :dim] = a[:dim, dim] = v
         a[np.arange(dim), np.arange(dim)] -= self.e0
-        rhs = np.pad(self.tv_kv, ((0, 0), (0, 1))).T     # [T v, K v; 0, 0]
-        x_t, x_k = lu_solve(lu_factor(a), rhs)[:dim].T
+        rhs[:, :dim] = self.tv_kv                        # [T v, K v; 0, 0]
+        x_t, x_k = lu_solve(lu_factor(a), rhs.T)[:dim].T
         c = self.omega / (self.n_particles - 1)
         t, dv = float(v @ tv), -c * x_k
         t_dv, k_dv = np.split(self.tk @ dv, 2)
@@ -175,12 +176,14 @@ _SET_BLAS_THREADS = ("scipy_openblas_set_num_threads64_",
                      "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
+_blas_setters = []          # found by the first call; forked workers inherit
+
+
 def _one_blas_thread() -> None:
-    """One thread for each OpenBLAS bundled with numpy or scipy, in pool
-    workers (which would contend for the cores) and in ``cli.main`` (so
-    results do not depend on the thread count).  Where no bundled
-    OpenBLAS is found, nothing changes."""
-    for pkg in (np, scipy):
+    """One thread for each bundled OpenBLAS, in pool workers (which would
+    contend for the cores) and in ``cli.main`` (so results do not depend on
+    the thread count); nothing changes where none is found."""
+    for pkg in () if _blas_setters else (np, scipy):
         libs = Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs"
         for lib in sorted(libs.glob("*openblas*")):
             handle = ctypes.CDLL(str(lib))
@@ -188,7 +191,9 @@ def _one_blas_thread() -> None:
                            if hasattr(handle, sym)), None)
             if setter is not None:
                 setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
+                _blas_setters.append(setter)
+    for setter in _blas_setters:
+        setter(1)
 
 
 def map_tasks(fn, tasks, workers: int = 1) -> list:

@@ -11,11 +11,11 @@ is in its cluster: symmetry, not LAPACK, picks the vector.
 Perron-Frobenius proves an A1 ground state only for omega < 0, mu = 0;
 otherwise the minimum over the sectors decides.
 
-Dense LAPACK solves the blocks while the full dimension is at most 2000
-(N = 60 gives dimension 1891); above that a restarted Krylov solve with a
-fixed starting vector keeps results deterministic.  A dense fallback on the
-block guards against Krylov misconvergence.  Reported residuals are those
-of the lifted vectors in the full space.
+Dense LAPACK solves the blocks (``HamiltonianTerms.dense``) while the full
+dimension is at most 2000 (N = 60 gives dimension 1891); above that a restarted
+Krylov solve of the CSR block from a fixed starting vector keeps results
+deterministic.  A dense fallback guards against Krylov misconvergence.
+Reported residuals are those of the lifted vectors in the full space.
 """
 
 from __future__ import annotations
@@ -63,12 +63,12 @@ def eigensolve_lowest(terms: HamiltonianTerms, params: ModelParams, k: int):
     dim = terms.dimension
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in 1..{dim}, got {k}")
-    m = terms.hamiltonian(params)
     n = params.n_particles
     if (n + 1) * (n + 2) // 2 <= DENSE_LIMIT or k > dim // 4:
-        m = m.toarray()
+        m = terms.dense(params)
         vals, vecs = la.eigh(m, subset_by_index=[0, k - 1])
     else:
+        m = terms.hamiltonian(params)
         vals, vecs = _krylov_lowest(m, k)
     vecs = _fix_signs(vecs[:, np.argsort(vals)])
     vals = np.sort(vals)
@@ -76,7 +76,7 @@ def eigensolve_lowest(terms: HamiltonianTerms, params: ModelParams, k: int):
     scale = max(1.0, float(np.max(np.abs(vals))))
     if np.any(residuals > _RESIDUAL_FACTOR * scale):
         # Krylov result did not meet the residual invariant; redo densely.
-        m = m if isinstance(m, np.ndarray) else m.toarray()
+        m = terms.dense(params)
         vals, vecs = la.eigh(m, subset_by_index=[0, k - 1])
         vecs = _fix_signs(vecs)
         residuals = np.linalg.norm(m @ vecs - vecs * vals[None, :], axis=0)

@@ -6,6 +6,7 @@ import functools
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
@@ -14,8 +15,8 @@ from triwell.algebra import (ModelParams, generators, hamiltonian_terms,
 from triwell.coherent import (ClassicalPoint, QuantumState, coherent_state,
                               log_multinomial)
 from triwell.errors import BracketingError
-from triwell.fock import (FockBasis, build_basis, check_hermitian, hop_operator,
-                         lex_rank)
+from triwell.fock import (_E_PARTNERS, FockBasis, build_basis, check_hermitian,
+                         hop_operator, lex_rank)
 from triwell.purity import generalized_purity
 from triwell.semiclassical import (_classify_stability, _four_plus,
                                    _twin_roots, bifurcation_scan,
@@ -524,3 +525,72 @@ def husimi_quadrature_oracle(state, i1: float, i2: float,
                               state.amplitudes)
             total += abs(overlap) ** 2
     return total / phase_points ** 2
+
+
+def symmetry_sectors_one_pass(basis: FockBasis) -> list:
+    """[(label, isometries)] of the non-empty S3 sectors, A1, A2, E, all
+    built in one pass over the orbits: the former ``fock.symmetry_sectors``,
+    kept as the reference for the per-sector builder."""
+    n = basis.total_particles
+    occ = basis.states
+    dim = basis.dimension
+    desc = -np.sort(-occ, axis=1)
+    _, orbit = np.unique(lex_rank(n, desc[:, 0], desc[:, 1]),
+                         return_inverse=True)
+    kind = 1 + (desc[:, 0] != desc[:, 1]) + (desc[:, 1] != desc[:, 2])
+    orbit_kind = np.zeros(orbit.max() + 1, dtype=int)
+    orbit_kind[orbit] = kind
+    inversions = np.sum(occ[:, [0, 0, 1]] < occ[:, [1, 2, 2]], axis=1)
+    sign = 1.0 - 2.0 * (inversions % 2)
+    odd_one = np.where(occ[:, 0] == occ[:, 1], 2,
+                       np.where(occ[:, 0] == occ[:, 2], 1, 0))
+    pos = np.where(kind == 2, odd_one, np.argmax(occ, axis=1))
+
+    def isometry(rows, cols, vals, width):
+        m = sp.csr_matrix((vals, (rows, cols)), shape=(dim, width))
+        m.eliminate_zeros()
+        return m
+
+    a1 = isometry(np.arange(dim), orbit,
+                  1.0 / np.sqrt(np.array([0.0, 1.0, 3.0, 6.0])[kind]),
+                  orbit_kind.size)
+    six = np.flatnonzero(kind == 3)
+    a2_col = np.cumsum(orbit_kind == 3) - 1
+    a2 = isometry(six, a2_col[orbit[six]], sign[six] / np.sqrt(6.0),
+                  int(np.sum(orbit_kind == 3)))
+    width = np.array([0, 0, 1, 2])[orbit_kind]
+    start = np.cumsum(width) - width
+    carry = np.flatnonzero(kind > 1)
+    rows = np.concatenate([carry, six])
+    cols = np.concatenate([start[orbit[carry]], start[orbit[six]] + 1])
+    weight = np.where(kind == 2, 1.0, np.sqrt(0.5))
+    e1, e2 = _E_PARTNERS[0][pos], _E_PARTNERS[1][pos]
+    even = np.concatenate([weight[carry] * e1[carry],
+                           weight[six] * sign[six] * e2[six]])
+    odd = np.concatenate([weight[carry] * e2[carry],
+                          -weight[six] * sign[six] * e1[six]])
+    e_isometries = tuple(isometry(rows, cols, v, int(width.sum()))
+                         for v in (even, odd))
+    sectors = [("A1", (a1,)), ("A2", (a2,)), ("E", e_isometries)]
+    return [(label, isos) for label, isos in sectors if isos[0].shape[1]]
+
+
+def bordered_derivatives_block_pad(level) -> tuple:
+    """(dP/dchi, d2P/dchi2) of a ``purity.GroundLevel``, its bordered
+    matrix and right-hand sides assembled by ``np.block`` and ``np.pad``:
+    the former ``GroundLevel.derivatives``."""
+    v, (tv, kv), dim = level.v, level.tv_kv, level.v.size
+    h = (level.block if isinstance(level.block, np.ndarray)
+         else level.block.toarray())
+    a = np.block([[h, v[:, None]], [v, 0.0]])
+    a[np.arange(dim), np.arange(dim)] -= level.e0
+    rhs = np.pad(level.tv_kv, ((0, 0), (0, 1))).T     # [T v, K v; 0, 0]
+    x_t, x_k = lu_solve(lu_factor(a), rhs)[:dim].T
+    c = level.omega / (level.n_particles - 1)
+    t, dv = float(v @ tv), -c * x_k
+    t_dv, k_dv = np.split(level.tk @ dv, 2)
+    dt = 2.0 * float(dv @ tv)
+    d2t = 2.0 * (float(dv @ t_dv) - float(dv @ dv) * t
+                 - 2.0 * c * float((k_dv - float(v @ kv) * dv) @ x_t))
+    norm = 2.0 * level.n_particles ** 2
+    return t * dt / norm, (dt * dt + t * d2t) / norm

@@ -180,3 +180,26 @@ def test_hamiltonian_terms_bitwise_equal_hop_sums(n):
     for got, ref in pairs:
         _assert_bitwise([getattr(got, f) for f in fields],
                         [getattr(ref, f) for f in fields])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10, 25, 60])
+def test_dense_assembly_bitwise_equals_densified_csr(n):
+    """``dense`` is ``hamiltonian(params).toarray()`` bit for bit on the
+    full space and on every sector, for all-zero couplings and for data
+    with -0.0 entries, which both add into +0.0."""
+    ctx = model_context(n)
+    params = [ModelParams(0.0, 0.0, 0.0, n), ModelParams(-1.0, -0.0, 0.0, n)]
+    params += [ModelParams.from_reduced(omega, chi, mu, n)
+               for omega, chi, mu in itertools.product(
+                   (-1.0, 1.0), (-3.0, 0.0, 2.1), (0.0, 0.3))
+               if n >= 2 or chi == mu == 0.0]
+    negative_zeros = 0
+    for terms in (ctx.terms, *(sector.terms for sector in ctx.sectors)):
+        for p in params:
+            got, want = terms.dense(p), terms.hamiltonian(p).toarray()
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            data = terms.hamiltonian(p).data
+            negative_zeros += np.sum((data == 0.0) & np.signbit(data))
+    assert len(ctx.sectors) == (3 if n >= 3 else 2)
+    assert negative_zeros > 0 or n == 1

@@ -157,9 +157,9 @@ def test_a1_route_takes_no_generator_expectations(monkeypatch):
 
 
 def test_a1_runs_project_the_a1_block_alone(monkeypatch):
-    """Where only the A1 block is solved, only its three terms are
-    projected and the full-space pattern is never built; ``spectrum``
-    builds every block and the pattern."""
+    """Where only the A1 block is solved, only its isometry is built and
+    its three terms projected, and the full-space pattern is never built;
+    ``spectrum`` builds every isometry, every block and the pattern."""
     projected = []
     project = algebra._project
 
@@ -171,6 +171,9 @@ def test_a1_runs_project_the_a1_block_alone(monkeypatch):
         return ("terms" in vars(ctx),
                 ["terms" in vars(sector) for sector in ctx.sectors])
 
+    def isometries_built(ctx):
+        return ["isometries" in vars(sector) for sector in ctx.sectors]
+
     model_context.cache_clear()
     monkeypatch.setattr(algebra, "_project", counted)
     ground_state_purity(-1.0, 0.0, 20, 2.0)
@@ -179,9 +182,13 @@ def test_a1_runs_project_the_a1_block_alone(monkeypatch):
     assert projected == [a1[0]] * 3 + [a1[1]] * 3
     for n in (20, 10):
         assert built(model_context(n)) == (False, [True, False, False])
+        assert [s.label for s in model_context(n).sectors] == ["A1", "A2", "E"]
+        assert isometries_built(model_context(n)) == [True, False, False]
     spectrum(ModelParams.from_reduced(-1.0, 2.0, 0.0, 20), 4)
     assert len(projected) == 12
     assert built(model_context(20)) == (True, [True, True, True])
+    assert isometries_built(model_context(20)) == [True, True, True]
+    assert isometries_built(model_context(10)) == [True, False, False]
 
 
 @pytest.mark.parametrize("n, chis", [(10, (2.0, 2.2, 2.4)),
@@ -318,16 +325,21 @@ def test_purity_scan_zero_particles_rejected():
 
 
 def test_purity_derivative_builds_the_a1_hamiltonian_once(monkeypatch):
-    """The bordered solve reuses the matrix the eigensolve built and
-    densified: one build and one densification per call."""
-    calls, dense = [], []
-    build = HamiltonianTerms.hamiltonian
+    """The bordered solve reuses the dense matrix the eigensolve assembled:
+    one dense assembly per call, and no CSR matrix built or densified."""
+    calls, built, dense = [], [], []
+    assemble, build = HamiltonianTerms.dense, HamiltonianTerms.hamiltonian
     csr = type(build(model_context(10).sectors[0].terms,
                      ModelParams(-1.0, 0.0, 0.0, 10)))
     densify = csr.toarray
 
-    def counted(self, params):
-        calls.append(self.dimension)
+    def counted_assemble(self, params):
+        h = assemble(self, params)
+        calls.append(h)
+        return h
+
+    def counted_build(self, params):
+        built.append(self.dimension)
         return build(self, params)
 
     def counted_densify(self, *args, **kwargs):
@@ -335,12 +347,17 @@ def test_purity_derivative_builds_the_a1_hamiltonian_once(monkeypatch):
         return densify(self, *args, **kwargs)
 
     purity_derivative(-1.0, 0.0, 10, 2.2)      # warm the model context
-    monkeypatch.setattr(HamiltonianTerms, "hamiltonian", counted)
+    monkeypatch.setattr(HamiltonianTerms, "dense", counted_assemble)
+    monkeypatch.setattr(HamiltonianTerms, "hamiltonian", counted_build)
     monkeypatch.setattr(csr, "toarray", counted_densify)
     purity_derivative(-1.0, 0.0, 10, 2.3)
     a1 = model_context(10).sectors[0].terms.dimension
-    assert calls == [a1]
-    assert dense == [a1]
+    assert [h.shape for h in calls] == [(a1, a1)]
+    level = purity._ground_block(-1.0, 0.0, 10, 2.3)
+    assert len(calls) == 2 and level.block is calls[1]
+    _ = level.derivatives                   # the bordered solve
+    assert len(calls) == 2
+    assert built == [] and dense == []
 
 
 def test_purity_needs_no_factorization(monkeypatch):
@@ -355,6 +372,33 @@ def test_purity_needs_no_factorization(monkeypatch):
     assert np.all((scan.purity > 0.0) & (scan.purity <= 1.0))
     with pytest.raises(AssertionError, match="factorized"):
         purity_derivative(-1.0, 0.0, 10, 2.2)
+
+
+@pytest.mark.parametrize("omega, mu, n", [(-1.0, 0.0, 10), (-1.0, 0.0, 25),
+                                          (1.0, 0.2, 17), (1.0, 0.2, 31)])
+def test_bordered_derivatives_bitwise_equal_block_pad_oracle(omega, mu, n):
+    """The bordered matrix and right-hand sides filled in place give the
+    (dP/dchi, d2P/dchi2) of the np.block / np.pad assembly bit for bit, on
+    the A1 and E blocks, from the dense block and from its CSR form."""
+    labels = []
+    for chi in (0.7, 2.2):
+        params = ModelParams.from_reduced(omega, chi, mu, n)
+        for sector in model_context(n).sectors:
+            if sector.label == "A2":
+                continue
+            labels.append(sector.label)
+            terms = sector.terms
+            vals, vecs, h = spectral.eigensolve_lowest(terms, params, 1)
+            tk, v = terms.tunneling_collision, vecs[:, 0]
+            for block in (h, terms.hamiltonian(params)):
+                level = purity.GroundLevel(
+                    sector.label, block, float(vals[0]), v, tk,
+                    (tk @ v).reshape(2, -1), omega, n)
+                want = oracles.bordered_derivatives_block_pad(level)
+                assert all(isinstance(x, float) for x in level.derivatives)
+                assert (np.array(level.derivatives).view(np.int64).tolist()
+                        == np.array(want).view(np.int64).tolist())
+    assert labels == ["A1", "E"] * 2
 
 
 @pytest.mark.parametrize("n", [10, 25, 60])
@@ -487,6 +531,32 @@ def _openblas(prefix):
 
 def _blas_threads(_task):
     return {name: fn() for name, fn in _openblas("get_").items()}
+
+
+def test_one_blas_thread_looks_up_its_setters_once(monkeypatch):
+    """After the first call the setters are cached: a later call loads no
+    library and still sets every bundled OpenBLAS back to one thread."""
+    setters, getters = _openblas("set_"), _openblas("get_")
+    if not setters:
+        pytest.skip("no OpenBLAS bundled with numpy or scipy")
+    before = _blas_threads(None)
+    purity._one_blas_thread()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("library loaded again")
+
+    try:
+        for setter in setters.values():
+            setter(2)
+        monkeypatch.setattr(ctypes, "CDLL", refuse)
+        purity._one_blas_thread()
+        monkeypatch.undo()
+        assert {name: fn() for name, fn in getters.items()} == {
+            name: 1 for name in setters}
+    finally:
+        monkeypatch.undo()
+        for name, setter in setters.items():
+            setter(before[name])
 
 
 def test_pool_workers_run_one_blas_thread():

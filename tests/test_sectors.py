@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import index_of
+from oracles import index_of, symmetry_sectors_one_pass
 from triwell.algebra import ModelParams, model_context
 from triwell.fock import build_basis, symmetry_sectors
 from triwell.purity import generalized_purity
@@ -38,6 +38,25 @@ def test_sector_isometries_orthonormal_and_complete(n):
             assert np.allclose(b[swap], sign * b, atol=1e-15)
             if label != "E":
                 assert np.allclose(b[cyc], b, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [*range(13), 31, 60])
+def test_per_sector_isometries_bitwise_equal_one_pass(n):
+    """Each sector's isometries, built on their own from the basis' orbits,
+    are the one-pass CSR matrices bit for bit, as ``symmetry_sectors`` and
+    as the lazily built ``Sector.isometries``."""
+    want = symmetry_sectors_one_pass(build_basis(n))
+    lazy = [(s.label, s.isometries) for s in model_context(n).sectors]
+    for got in (symmetry_sectors(build_basis(n)), lazy):
+        assert [label for label, _ in got] == [label for label, _ in want]
+        for (_, isos), (_, ref) in zip(got, want):
+            assert len(isos) == len(ref)
+            for g, w in zip(isos, ref):
+                assert g.shape == w.shape
+                for a, b in ((g.data, w.data), (g.indices, w.indices),
+                             (g.indptr, w.indptr)):
+                    assert a.dtype == b.dtype
+                    assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
 @pytest.mark.parametrize("n", [3, 6, 7])
