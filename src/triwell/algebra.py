@@ -13,8 +13,8 @@ consistent with the generator form of the Hamiltonian and with the
 coherent-state purity normalization.
 
 ``model_context(N)`` builds the basis and the full-space (T, K, V) once
-per N; the full-space pattern, each sector's isometries and blocks, and the
-generators wait for their first read (an A1-only run builds no A2 or E).
+per N; each sector's isometries and blocks and the generators wait for
+their first read (an A1-only run builds no A2 or E).
 """
 
 from __future__ import annotations
@@ -224,15 +224,11 @@ def _project(isometry: sp.csr_matrix, m: sp.csr_matrix) -> sp.csr_matrix:
 @dataclass(frozen=True)
 class ModelContext:
     """Cached per-N operator machinery shared by scans and solvers; the
-    shared pattern ``terms`` and the generators are built on first read."""
+    generators are built on first read."""
 
     basis: FockBasis
     operators: tuple                # (T, K, V) of ``hamiltonian_terms``
     sectors: tuple                  # Sector, in the order A1, A2, E
-
-    @cached_property
-    def terms(self) -> HamiltonianTerms:
-        return HamiltonianTerms.from_matrices(*self.operators)
 
     @cached_property
     def gens(self) -> tuple:
@@ -240,9 +236,11 @@ class ModelContext:
         return generators(self.basis)
 
     def hamiltonian(self, params: ModelParams) -> sp.csr_matrix:
+        """The full-space H = omega_eff T + kappa K - 2 lam V as CSR."""
         if params.n_particles != self.basis.total_particles:
             raise ValueError("parameter N does not match cached context")
-        return self.terms.hamiltonian(params)
+        t, k, v = self.operators
+        return params.omega_eff * t + params.kappa * k - 2.0 * params.lam * v
 
 
 @lru_cache(maxsize=None)

@@ -4,8 +4,12 @@ Every data file is CSV with a header row and shortest round-trip float
 formatting, paired with a JSON metadata sidecar carrying the fully resolved
 parameter set, the command name, the version and the command's wall time.
 Reruns with identical configuration produce byte-identical CSV; wall times
-live only in the sidecars.  ``main`` writes the files once the command has
-done all of its work, so a failed command writes none.
+live only in the sidecars.  ``main`` solves on one BLAS thread, so the
+bytes do not depend on the thread count; the ``trajectory`` CSV does not
+depend on the BLAS kernel either, since the integrator does its arithmetic
+on Python scalars, while CSV from eigensolves can move in the last digits
+under another OpenBLAS kernel.  ``main`` writes the files once the command
+has done all of its work, so a failed command writes none.
 
 Exit codes: 0 success, 2 usage error (a malformed or out-of-range value:
 ``UsageError`` or ``ValueError``), 3 numerical failure

@@ -117,7 +117,8 @@ class GroundLevel:
         a[dim, :dim] = a[:dim, dim] = v
         a[np.arange(dim), np.arange(dim)] -= self.e0
         rhs[:, :dim] = self.tv_kv                        # [T v, K v; 0, 0]
-        x_t, x_k = lu_solve(lu_factor(a), rhs.T)[:dim].T
+        x_t, x_k = lu_solve(lu_factor(a, check_finite=False), rhs.T,
+                            check_finite=False)[:dim].T
         c = self.omega / (self.n_particles - 1)
         t, dv = float(v @ tv), -c * x_k
         t_dv, k_dv = np.split(self.tk @ dv, 2)

@@ -12,12 +12,21 @@ equal phases; the canonical chart (I1, I2, phi1, phi2) is a
 post-processing conversion.  The w-chart flow, the energy samples and the
 w-chart Jacobian behind the fixed-point stability are closed forms in
 numpy; the canonical chart serves output only.
+
+The integrator is DOP853 with scipy's coefficients, step control and
+dense output, stepping (w1, w2) as Python complex scalars: a step costs
+its twelve flow evaluations (fifteen where it holds a sample time) plus a
+few hundred scalar operations, and no sum goes through BLAS, so a
+trajectory is the same on every BLAS kernel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cache
 from itertools import permutations, product
+from operator import mul
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -200,36 +209,180 @@ def _classify_stability(jac: np.ndarray) -> str:
 # Trajectories
 # ---------------------------------------------------------------------------
 
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on first use so that only
-    trajectory runs load scipy.integrate."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-    return scipy_solve_ivp(*args, **kwargs)
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5 and II.10)
+# with the step control of scipy.integrate's RungeKutta: the RMS error norm
+# over the four real components, safety factor 0.9, step factors 0.2..10,
+# no growth right after a rejection.  Stage sums run left to right.
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_RTOLS = (1e-10, 1e-12)             # tried in turn until the drift is met
+_ATOL = 1e-12
+
+# The flow at one point, as the integrator calls it at every evaluation.
+_rhs = _velocity
 
 
-def _rhs(_t, y, terms):
-    x1, y1, x2, y2 = y.tolist()
-    v1, v2 = _velocity(complex(x1, y1), complex(x2, y2), terms)
-    return [v1.real, v1.imag, v2.real, v2.imag]
+@cache
+def _dop853() -> tuple:
+    """DOP853's coefficients from ``scipy.integrate.DOP853``, imported on
+    the first trajectory so that only trajectory runs load scipy.integrate.
+
+    Returns (stage rows of A, B, E3, E5, extra-stage rows of A, interpolator
+    rows D, error exponent), each row a tuple as long as the stages it
+    combines.  The coefficients are held as complex numbers, so that each
+    product with a stage is one complex multiplication (the same value as
+    float times complex for finite stages, without a conversion each
+    time).  The flow is autonomous, so the stage times C are not needed.
+    """
+    from scipy.integrate import DOP853 as method
+    s = method.n_stages
+
+    def row(r):
+        return tuple(map(complex, r.tolist()))
+
+    return (tuple(row(r[:i]) for i, r in enumerate(method.A[1:], 1)),
+            row(method.B), row(method.E3), row(method.E5),
+            tuple(row(r[:i]) for i, r in enumerate(method.A_EXTRA, s + 1)),
+            tuple(row(r) for r in method.D),
+            -1.0 / (method.error_estimator_order + 1))
+
+
+def _dot(coeffs, k) -> complex:
+    """sum_i coeffs[i] k[i], left to right."""
+    return sum(map(mul, coeffs, k), 0j)
+
+
+def _square_sum(z1: complex, z2: complex, scale) -> float:
+    """Sum of the squares of the four real components of (z1, z2), each
+    over its entry of ``scale``."""
+    return ((z1.real / scale[0]) ** 2 + (z1.imag / scale[1]) ** 2
+            + (z2.real / scale[2]) ** 2 + (z2.imag / scale[3]) ** 2)
+
+
+def _rms(z1: complex, z2: complex, scale) -> float:
+    return math.sqrt(_square_sum(z1, z2, scale) / 4.0)
+
+
+def _initial_step(w1, w2, f1, f2, terms, t_max, rtol, exponent):
+    """Hairer's first-step rule (Solving ODEs I, II.4), as scipy's
+    ``select_initial_step``."""
+    scale = [_ATOL + abs(x) * rtol
+             for x in (w1.real, w1.imag, w2.real, w2.imag)]
+    d0, d1 = _rms(w1, w2, scale), _rms(f1, f2, scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_max)
+    g1, g2 = _rhs(w1 + h0 * f1, w2 + h0 * f2, terms)
+    d2 = _rms(g1 - f1, g2 - f2, scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -exponent
+    return min(100.0 * h0, h1, t_max)
+
+
+def _stages(w1, w2, k1, k2, h, rows, terms):
+    """Append to k1, k2 the stages whose A rows are ``rows``."""
+    for row in rows:
+        v1, v2 = _rhs(w1 + _dot(row, k1) * h, w2 + _dot(row, k2) * h, terms)
+        k1.append(v1)
+        k2.append(v2)
+
+
+def _error_norm(k1, k2, h, scale, e3, e5) -> float:
+    """DOP853's error norm: the 5th-order estimate, damped by the 3rd."""
+    s5 = _square_sum(_dot(e5, k1), _dot(e5, k2), scale)
+    s3 = _square_sum(_dot(e3, k1), _dot(e3, k2), scale)
+    if s5 == 0.0 and s3 == 0.0:
+        return 0.0
+    return h * s5 / math.sqrt((s5 + 0.01 * s3) * 4.0)
+
+
+def _interpolant(w, y, f, g, k, h, interp) -> list:
+    """The seven coefficients of DOP853's 7th-order dense output of one
+    component over a step from w (slope f) to y (slope g)."""
+    dy = y - w
+    return [dy, h * f - dy, 2.0 * dy - h * (g + f),
+            *(h * _dot(row, k) for row in interp)]
+
+
+def _interpolate(coeffs, x: float) -> complex:
+    """The dense output at x = (t - t_old) / h, less its start value."""
+    out, factors = 0j, (x, 1.0 - x)
+    for i, c in enumerate(reversed(coeffs)):
+        out = (out + c) * factors[i % 2]
+    return out
+
+
+def solve_ivp(w1: complex, w2: complex, terms: tuple, t_max: float,
+              times, rtol: float) -> tuple:
+    """Integrate dw/dt = ``_rhs`` from (w1, w2) at t = 0 to t_max by DOP853,
+    step for step as ``scipy.integrate.solve_ivp(method="DOP853")`` on the
+    four real components with atol _ATOL.  Returns (w1, w2) as complex
+    arrays at ``times``, ascending values in [0, t_max].  IntegrationError
+    if the step falls below ten float spacings of t.
+    """
+    stages, b, e3, e5, extra, interp, exponent = _dop853()
+    f1, f2 = _rhs(w1, w2, terms)
+    h_abs = _initial_step(w1, w2, f1, f2, terms, t_max, rtol, exponent)
+    t, i, out1, out2 = 0.0, 0, [], []
+    while t < t_max:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if not h_abs >= min_step:
+                raise IntegrationError(
+                    f"integrator failed: step {h_abs:.3e} at t = {t!r} is "
+                    "below the spacing of floats")
+            t_new = min(t + h_abs, t_max)
+            h = t_new - t
+            k1, k2 = [f1], [f2]
+            _stages(w1, w2, k1, k2, h, stages, terms)
+            y1, y2 = w1 + h * _dot(b, k1), w2 + h * _dot(b, k2)
+            g1, g2 = _rhs(y1, y2, terms)
+            k1.append(g1)
+            k2.append(g2)
+            scale = [_ATOL + max(abs(p), abs(q)) * rtol for p, q in (
+                (w1.real, y1.real), (w1.imag, y1.imag),
+                (w2.real, y2.real), (w2.imag, y2.imag))]
+            err = _error_norm(k1, k2, h, scale, e3, e5)
+            if err < 1.0:
+                factor = (_MAX_FACTOR if err == 0.0
+                          else min(_MAX_FACTOR, _SAFETY * err ** exponent))
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(_MIN_FACTOR, _SAFETY * err ** exponent)
+            rejected = True
+        if i < len(times) and times[i] <= t_new:
+            _stages(w1, w2, k1, k2, h, extra, terms)
+            c1 = _interpolant(w1, y1, f1, g1, k1, h, interp)
+            c2 = _interpolant(w2, y2, f2, g2, k2, h, interp)
+            while i < len(times) and times[i] <= t_new:
+                x = (times[i] - t) / h
+                out1.append(_interpolate(c1, x) + w1)
+                out2.append(_interpolate(c2, x) + w2)
+                i += 1
+        t, w1, w2, f1, f2 = t_new, y1, y2, g1, g2
+    return np.array(out1), np.array(out2)
 
 
 def integrate_trajectory(init: ClassicalPoint, params: ModelParams,
                          t_max: float, dt: float) -> Trajectory:
-    """Adaptive high-order integration in the w-chart with drift control."""
-    if t_max <= 0 or dt <= 0:
+    """Adaptive 8th-order integration in the w-chart with drift control,
+    sampled at t = k dt for every k with k dt <= t_max.
+
+    Each rtol of _RTOLS is tried in turn (one ``solve_ivp`` each) until the
+    relative energy drift is at most _DRIFT_TOL; IntegrationError if none
+    meets it.
+    """
+    if not (t_max > 0 and dt > 0):
         raise ValueError("t_max and dt must be positive")
-    y0 = [init.w1.real, init.w1.imag, init.w2.real, init.w2.imag]
-    t_eval = np.arange(0.0, t_max + 0.5 * dt, dt)
+    times = np.arange(0.0, t_max + dt, dt)          # k dt, bit for bit
+    times = times[times <= t_max]
     terms = _flow_terms(params)
     last = None
-    for rtol in (1e-10, 1e-12):
-        sol = solve_ivp(_rhs, (0.0, t_max), y0, method="DOP853",
-                        t_eval=t_eval, rtol=rtol, atol=1e-12, args=(terms,))
-        if not sol.success:
-            raise IntegrationError(f"integrator failed: {sol.message}")
-        point = ClassicalPoint(sol.y[0] + 1j * sol.y[1],
-                               sol.y[2] + 1j * sol.y[3])
-        last = Trajectory(sol.t, point, classical_hamiltonian(point, params),
+    for rtol in _RTOLS:
+        w1, w2 = solve_ivp(complex(init.w1), complex(init.w2), terms, t_max,
+                           times.tolist(), rtol)
+        point = ClassicalPoint(w1, w2)
+        last = Trajectory(times, point, classical_hamiltonian(point, params),
                           params, rtol)
         if last.relative_energy_drift <= _DRIFT_TOL:
             return last

@@ -58,15 +58,22 @@ def eigensolve_lowest(terms: HamiltonianTerms, params: ModelParams, k: int):
     ``terms`` is the whole N-particle space or one of its symmetry blocks.
     LAPACK solves it while the whole space, of dimension (N+1)(N+2)/2, is
     at most DENSE_LIMIT or k exceeds a quarter of the block; Krylov
-    otherwise.
+    otherwise.  Non-finite couplings raise ValueError on either path; past
+    that check every matrix built from them is finite, so the LAPACK
+    wrappers here and in ``purity`` skip their own finiteness scans.
     """
+    if not np.isfinite([params.omega_eff, params.kappa, params.lam]).all():
+        raise ValueError(f"couplings must be finite: omega_eff = "
+                         f"{params.omega_eff:g}, kappa = {params.kappa:g}, "
+                         f"lam = {params.lam:g}")
     dim = terms.dimension
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in 1..{dim}, got {k}")
     n = params.n_particles
     if (n + 1) * (n + 2) // 2 <= DENSE_LIMIT or k > dim // 4:
         m = terms.dense(params)
-        vals, vecs = la.eigh(m, subset_by_index=[0, k - 1])
+        vals, vecs = la.eigh(m, subset_by_index=[0, k - 1],
+                             check_finite=False)
     else:
         m = terms.hamiltonian(params)
         vals, vecs = _krylov_lowest(m, k)
@@ -77,7 +84,8 @@ def eigensolve_lowest(terms: HamiltonianTerms, params: ModelParams, k: int):
     if np.any(residuals > _RESIDUAL_FACTOR * scale):
         # Krylov result did not meet the residual invariant; redo densely.
         m = terms.dense(params)
-        vals, vecs = la.eigh(m, subset_by_index=[0, k - 1])
+        vals, vecs = la.eigh(m, subset_by_index=[0, k - 1],
+                             check_finite=False)
         vecs = _fix_signs(vecs)
         residuals = np.linalg.norm(m @ vecs - vecs * vals[None, :], axis=0)
         _check_residuals(residuals, scale)

@@ -18,9 +18,10 @@ from triwell.errors import BracketingError
 from triwell.fock import (_E_PARTNERS, FockBasis, build_basis, check_hermitian,
                          hop_operator, lex_rank)
 from triwell.purity import generalized_purity
-from triwell.semiclassical import (_classify_stability, _four_plus,
-                                   _twin_roots, bifurcation_scan,
-                                   linearization, twin_energy_reduced)
+from triwell.semiclassical import (_classify_stability, _flow_terms,
+                                   _four_plus, _twin_roots, _velocity,
+                                   bifurcation_scan, linearization,
+                                   twin_energy_reduced)
 
 
 class ModelConsistencyError(RuntimeError):
@@ -329,6 +330,27 @@ def w_velocity_closed_form(w1, w2, params):
     scale = -1j * d / n
     proj = w1.conjugate() * g1 + w2.conjugate() * g2
     return scale * (g1 + w1 * proj), scale * (g2 + w2 * proj)
+
+
+def scipy_dop853(point: ClassicalPoint, params, t_max: float, times,
+                 rtol: float):
+    """(w1, w2) at ``times`` by ``scipy.integrate.solve_ivp`` with DOP853 on
+    the four real components (atol 1e-12), the integration the library
+    used before its scalar DOP853."""
+    from scipy.integrate import solve_ivp
+    terms = _flow_terms(params)
+
+    def rhs(_t, y):
+        x1, y1, x2, y2 = y.tolist()
+        v1, v2 = _velocity(complex(x1, y1), complex(x2, y2), terms)
+        return [v1.real, v1.imag, v2.real, v2.imag]
+
+    w1, w2 = complex(point.w1), complex(point.w2)
+    sol = solve_ivp(rhs, (0.0, t_max), [w1.real, w1.imag, w2.real, w2.imag],
+                    method="DOP853", t_eval=times, rtol=rtol, atol=1e-12)
+    if not sol.success:
+        raise RuntimeError(f"scipy DOP853 failed: {sol.message}")
+    return sol.y[0] + 1j * sol.y[1], sol.y[2] + 1j * sol.y[3]
 
 
 # ---------------------------------------------------------------------------

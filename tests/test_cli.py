@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -191,6 +192,20 @@ def test_malformed_flag_exits_two(tmp_path, capsys):
 def test_out_of_range_value_exits_two(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert "usage error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("n", ["20", "70"])
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--chi", "nan"],
+    ["spectrum", "--kappa", "inf"],
+    ["purity-scan", "--chi-steps", "3", "--mu", "nan"],
+])
+def test_non_finite_couplings_exit_two(tmp_path, capsys, n, argv):
+    """The same usage error on the dense path (N = 20) and above
+    DENSE_LIMIT (N = 70), where ARPACK once raised uncaught."""
+    assert main(argv + ["--n", n, "--out", str(tmp_path)]) == 2
+    assert "couplings must be finite" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -400,6 +415,41 @@ def test_trajectory_sidecar_records_rtol_and_drift(tmp_path):
         assert 0.0 <= r["relative_energy_drift"] < 1e-8
     assert meta["max_relative_energy_drift"] == max(
         r["relative_energy_drift"] for r in runs)
+
+
+@pytest.mark.parametrize("t_max, dt, times", [
+    ("0.2", "0.07", [0.0, 0.07, 0.14]), ("0.1", "0.15", [0.0])])
+def test_trajectory_samples_stop_at_t_max(tmp_path, t_max, dt, times):
+    """Samples are k dt for every k with k dt <= t_max, also where t_max/dt
+    has a fractional part above 1/2 (the grid once ran past t_max)."""
+    out = tmp_path / "tr"
+    assert main(["trajectory", "--n", "30", "--chi", "1.5", "--t-max", t_max,
+                 "--dt", dt, "--out", str(out)]) == 0
+    rows = read(out / "trajectory_000.csv").splitlines()[1:]
+    got = [float(row.split(",")[0]) for row in rows]
+    assert got == [k * float(dt) for k in range(len(times))] == times
+    assert got[-1] <= float(t_max)
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_trajectory_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    """A trajectory is stepped in Python scalars, so its CSV bytes are the
+    same under OpenBLAS's Prescott kernel and under the kernel it picks for
+    this CPU (fresh interpreters: the variable is read when OpenBLAS
+    loads)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    for core in ("Prescott", None):
+        subprocess.run(
+            [sys.executable, "-m", "triwell.cli", "trajectory", "--n", "30",
+             "--chi", "1.5", "--t-max", "2", "--dt", "0.05", "--init",
+             "1.05,0.1", "--out", str(tmp_path / str(core))],
+            env={**env, "PYTHONPATH": str(src),
+                 **({"OPENBLAS_CORETYPE": core} if core else {})},
+            check=True, timeout=120)
+    assert ((tmp_path / "Prescott" / "trajectory_000.csv").read_bytes()
+            == (tmp_path / "None" / "trajectory_000.csv").read_bytes())
 
 
 @pytest.mark.parametrize("flag", ["--t-max", "--dt"])

@@ -10,6 +10,7 @@ from triwell import algebra
 from triwell.algebra import (HamiltonianTerms, ModelParams, generators,
                              hamiltonian_terms, model_context, partner_mode)
 from triwell.fock import build_basis, symmetry_sectors
+from triwell.spectral import spectrum
 
 
 def test_partner_mode_cycle():
@@ -140,14 +141,41 @@ def test_model_context_cache_and_hamiltonian():
     assert abs(h_ctx - h_dir).max() < 1e-13
 
 
+@pytest.mark.parametrize("n, omega, chi, mu", [
+    (30, -1.0, 2.0, 0.0), (30, -1.0, 2.0, 0.1), (60, -1.0, 3.0, 0.0),
+    (60, -1.0, 3.0, 0.1), (90, -1.0, 3.0, 0.0), (120, -1.0, 3.0, 0.0),
+    (31, 1.0, 1.0, 0.2)])
+def test_full_space_hamiltonian_equals_the_merged_pattern(n, omega, chi, mu):
+    """``ModelContext.hamiltonian``, the CSR sum of T, K and V, holds the
+    values of the merged (T, K, V) pattern's matrix, and the residuals
+    ``spectrum`` reports for its lifted vectors are bit for bit those of
+    that pattern."""
+    ctx = model_context(n)
+    pattern = HamiltonianTerms.from_matrices(*ctx.operators)
+    for params in (ModelParams.from_reduced(omega, chi, mu, n),
+                   ModelParams(0.0, 0.0, 0.0, n),
+                   ModelParams(-1.0, -0.0, 0.0, n)):
+        h, want = ctx.hamiltonian(params), pattern.hamiltonian(params)
+        assert h.format == "csr" and h.dtype == np.float64
+        assert (h != want).nnz == 0
+    params = ModelParams.from_reduced(omega, chi, mu, n)
+    result = spectrum(params, 6)
+    vecs = np.column_stack([s.amplitudes for s in result.states])
+    vals = result.eigenvalues
+    ref = np.linalg.norm(pattern.hamiltonian(params) @ vecs
+                         - vecs * vals[None, :], axis=0)
+    assert np.array_equal(result.residuals.view(np.int64), ref.view(np.int64))
+
+
 def test_tunneling_collision_stacks_t_over_k():
     ctx = model_context(5)
     T, K, _ = hamiltonian_terms(ctx.basis)
     x = np.random.default_rng(3).standard_normal(ctx.basis.dimension)
-    stacked = ctx.terms.tunneling_collision @ x
+    terms = HamiltonianTerms.from_matrices(*ctx.operators)
+    stacked = terms.tunneling_collision @ x
     assert np.allclose(stacked, np.concatenate([T @ x, K @ x]),
                        rtol=0.0, atol=1e-12)
-    assert ctx.terms.tunneling_collision is ctx.terms.tunneling_collision
+    assert terms.tunneling_collision is terms.tunneling_collision
 
 
 def _assert_bitwise(got, want):
@@ -170,7 +198,8 @@ def test_hamiltonian_terms_bitwise_equal_hop_sums(n):
                         (ref.data, ref.indices, ref.indptr))
     ctx = model_context(n)
     fields = ("values", "indptr", "indices")
-    pairs = [(ctx.terms, HamiltonianTerms.from_matrices(*want))]
+    pairs = [(HamiltonianTerms.from_matrices(*ctx.operators),
+              HamiltonianTerms.from_matrices(*want))]
     for sector, (label, isometries) in zip(ctx.sectors,
                                            symmetry_sectors(basis),
                                            strict=True):
@@ -194,7 +223,8 @@ def test_dense_assembly_bitwise_equals_densified_csr(n):
                    (-1.0, 1.0), (-3.0, 0.0, 2.1), (0.0, 0.3))
                if n >= 2 or chi == mu == 0.0]
     negative_zeros = 0
-    for terms in (ctx.terms, *(sector.terms for sector in ctx.sectors)):
+    full = HamiltonianTerms.from_matrices(*ctx.operators)
+    for terms in (full, *(sector.terms for sector in ctx.sectors)):
         for p in params:
             got, want = terms.dense(p), terms.hamiltonian(p).toarray()
             assert got.shape == want.shape and got.dtype == want.dtype

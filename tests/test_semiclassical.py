@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import os
 import subprocess
@@ -12,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from oracles import (canonical_gradient, canonical_hamiltonian,
                      canonical_velocity, equations_of_motion)
+from triwell import semiclassical
 from triwell.algebra import ModelParams
-from triwell.errors import BracketingError
+from triwell.errors import BracketingError, IntegrationError
 from triwell.semiclassical import (ClassicalPoint, _classify_stability,
                                    _flow_terms, _gradient, _rhs, _velocity,
                                    _wirtinger_hessian,
@@ -101,9 +103,12 @@ def test_closed_form_flow_matches_metric_solve(w1, w2, params):
 
 
 def test_rhs_equals_closed_form_oracle_bit_for_bit():
-    """The integrator's right-hand side, with its constants taken once per
-    trajectory, repeats the oracle's per-point arithmetic exactly: random
-    points, w = 0, large |w|, lam = 0 and lam != 0, both signs of Omega."""
+    """The integrator's right-hand side is ``_velocity`` itself, and with
+    its constants taken once per trajectory it repeats the oracle's
+    per-point arithmetic exactly on the Python complex scalars that the
+    integrator steps: random points, w = 0, large |w|, lam = 0 and
+    lam != 0, both signs of Omega."""
+    assert _rhs is _velocity
     rng = np.random.default_rng(20)
     points = [0j, 1e-9j, 1e3 - 2e3j, -4e5 + 1e5j, 1.0 + 0j,
               *(rng.normal(size=12) * 3.0 + 1j * rng.normal(size=12))]
@@ -113,15 +118,17 @@ def test_rhs_equals_closed_form_oracle_bit_for_bit():
              ModelParams(-1.0, 0.3, 0.1, 9), ModelParams(0.5, 0.0, -0.2, 500)]
     for params in cases:
         terms = _flow_terms(params)
-        for w1 in points:
-            for w2 in points:
-                v1, v2 = oracles.w_velocity_closed_form(w1, w2, params)
-                want = np.array([v1.real, v1.imag, v2.real, v2.imag])
-                y = np.array([w1.real, w1.imag, w2.real, w2.imag])
-                got = np.array(_rhs(0.0, y, terms))
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
-                assert np.array_equal(np.array(_velocity(w1, w2, terms)),
-                                      np.array([v1, v2]))
+        for w1, w2 in itertools.product(points, repeat=2):
+            assert np.array_equal(
+                np.array(_velocity(w1, w2, terms)),
+                np.array(oracles.w_velocity_closed_form(w1, w2, params)))
+            w1, w2 = complex(w1), complex(w2)
+            v1, v2 = oracles.w_velocity_closed_form(w1, w2, params)
+            want = np.array([v1.real, v1.imag, v2.real, v2.imag])
+            g1, g2 = _rhs(w1, w2, terms)
+            assert type(g1) is complex and type(g2) is complex
+            got = np.array([g1.real, g1.imag, g2.real, g2.imag])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_energy_samples_on_arrays_match_scalar_calls():
@@ -561,6 +568,79 @@ def test_trajectory_conserves_energy_and_twin_symmetry():
     assert traj.relative_energy_drift < 1e-8
     assert traj.rtol in (1e-10, 1e-12)
     assert np.max(np.abs(traj.point.w1 - traj.point.w2)) < 1e-7
+
+
+def _trajectory_starts():
+    """(id, params, start): the benchmark's eleven dynamics starts at seed 0
+    (ten Rabi starts on rings of radius 0.10..0.28 about 1+ at chi = 1.5,
+    and the self-trapping start 0.05 beyond 4+ at chi = 3) and three random
+    twin starts at random chi and mu."""
+    theta_star = 2.0 * math.atan(math.sqrt(2.0))
+    rabi = ModelParams.from_reduced(-1.0, 1.5, 0.0, 30)
+    starts = []
+    for k in range(10):
+        angle, radius = 2.0 * math.pi * k / 10.0, 0.1 + 0.02 * k
+        starts.append((f"rabi{k}", rabi, ClassicalPoint.from_twin_angles(
+            theta_star + radius * math.cos(angle), radius * math.sin(angle))))
+    mst = ModelParams.from_reduced(-1.0, 3.0, 0.0, 30)
+    w4 = next(r.point.w1.real for r in find_fixed_points(mst)
+              if r.label == "4+")
+    starts.append(("mst", mst, ClassicalPoint.from_twin_w(w4 + 0.05)))
+    rng = np.random.default_rng(23)
+    for k in range(3):
+        theta, phi = rng.uniform(0.3, 2.6), rng.uniform(-math.pi, math.pi)
+        params = ModelParams.from_reduced(-1.0, rng.uniform(0.0, 3.5),
+                                          rng.uniform(-0.2, 0.2), 30)
+        starts.append((f"twin{k}", params,
+                       ClassicalPoint.from_twin_angles(theta, phi)))
+    return starts
+
+
+@pytest.mark.parametrize("params, start", [
+    pytest.param(params, start, id=name)
+    for name, params, start in _trajectory_starts()])
+def test_scalar_dop853_follows_scipy_dop853(params, start):
+    """The scalar DOP853 stays within 1e-10 of scipy's DOP853 (the stage
+    sums differ only in summation order) at both rtols, on every sample of
+    t = 0..20; at rtol 1e-10 the run meets the drift bound."""
+    times = 0.05 * np.arange(401)
+    for rtol in (1e-10, 1e-12):
+        got = semiclassical.solve_ivp(complex(start.w1), complex(start.w2),
+                                      _flow_terms(params), 20.0,
+                                      times.tolist(), rtol)
+        want = oracles.scipy_dop853(start, params, 20.0, times, rtol)
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == times.shape
+            assert np.max(np.abs(g - w)) <= 1e-10
+    traj = integrate_trajectory(start, params, 20.0, 0.05)
+    assert traj.rtol == 1e-10 and traj.relative_energy_drift <= 1e-8
+    assert np.array_equal(traj.times, times)
+
+
+def test_integrator_calls_the_flow_by_its_module_name(monkeypatch):
+    """Every evaluation goes through ``semiclassical._rhs``, so a flow
+    patched there is the one integrated; one that turns non-finite makes
+    each step fail until the step is below the spacing of floats, which
+    raises IntegrationError, as scipy's minimum-step failure did."""
+    params = ModelParams.from_reduced(-1.0, 1.5, 0.0, 30)
+    start = ClassicalPoint.from_twin_w(0.6)
+    calls = []
+
+    def flow(w1, w2, terms):
+        calls.append(1)
+        if len(calls) > 200:
+            return complex(math.nan, 0.0), complex(math.nan, 0.0)
+        return _velocity(w1, w2, terms)
+
+    monkeypatch.setattr(semiclassical, "_rhs", flow)
+    with pytest.raises(IntegrationError, match="below the spacing of floats"):
+        integrate_trajectory(start, params, 20.0, 0.05)
+    assert len(calls) > 200
+    calls.clear()
+    monkeypatch.setattr(semiclassical, "_rhs",
+                        lambda *args: calls.append(1) or _velocity(*args))
+    traj = integrate_trajectory(start, params, 1.0, 0.05)
+    assert traj.rtol == 1e-10 and len(calls) > 12
 
 
 def test_trajectory_stays_near_stable_center():

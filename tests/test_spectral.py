@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from oracles import expectation, index_of
-from triwell.algebra import ModelParams, model_context
+from triwell.algebra import HamiltonianTerms, ModelParams, model_context
 from triwell.coherent import ClassicalPoint, coherent_state
 from triwell.spectral import (degenerate_clusters, eigensolve_lowest,
                               ground_state, spectrum)
@@ -11,7 +13,8 @@ from triwell.spectral import (degenerate_clusters, eigensolve_lowest,
 def test_dense_oracle_small():
     params = ModelParams(-1.0, 0.4, 0.1, 6)
     ctx = model_context(6)
-    vals, vecs, h = eigensolve_lowest(ctx.terms, params, 5)
+    terms = HamiltonianTerms.from_matrices(*ctx.operators)
+    vals, vecs, h = eigensolve_lowest(terms, params, 5)
     ref = np.linalg.eigvalsh(ctx.hamiltonian(params).toarray())
     assert np.allclose(vals, ref[:5], atol=1e-11)
     residuals = np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
@@ -81,11 +84,27 @@ def test_degenerate_clusters_grouping():
 
 def test_k_out_of_range():
     ctx = model_context(3)
+    terms = HamiltonianTerms.from_matrices(*ctx.operators)
     params = ModelParams(-1.0, 0.0, 0.0, 3)
     with pytest.raises(ValueError):
-        eigensolve_lowest(ctx.terms, params, 0)
+        eigensolve_lowest(terms, params, 0)
     with pytest.raises(ValueError):
-        eigensolve_lowest(ctx.terms, params, ctx.basis.dimension + 1)
+        eigensolve_lowest(terms, params, ctx.basis.dimension + 1)
+
+
+@pytest.mark.parametrize("n", [20, 70])
+@pytest.mark.parametrize("omega, kappa, lam", [
+    (math.nan, 0.1, 0.0), (-1.0, math.inf, 0.0), (-1.0, 0.1, -math.inf),
+    (-1.0, 0.0, 1e308)])               # omega_eff overflows to inf
+def test_non_finite_couplings_raise_value_error(n, omega, kappa, lam):
+    """One check before either path: dense LAPACK at N = 20, Krylov at
+    N = 70, for the full space and the A1 block."""
+    ctx = model_context(n)
+    params = ModelParams(omega, kappa, lam, n)
+    for terms in (ctx.sectors[0].terms,
+                  HamiltonianTerms.from_matrices(*ctx.operators)):
+        with pytest.raises(ValueError, match="couplings must be finite"):
+            eigensolve_lowest(terms, params, 1)
 
 
 def test_deterministic_repeat():
