@@ -1,7 +1,8 @@
 """Command-line front end: scan orchestration and bit-stable CSV/JSON output.
 
 Every data file is CSV with a header row and shortest round-trip float
-formatting, paired with a JSON metadata sidecar carrying the fully resolved
+formatting (each distinct float of a column is formatted once per file),
+paired with a JSON metadata sidecar carrying the fully resolved
 parameter set, the command name, the version and the command's wall time.
 Reruns with identical configuration produce byte-identical CSV; wall times
 live only in the sidecars.  ``main`` solves on one BLAS thread, so the
@@ -11,8 +12,14 @@ on Python scalars, while CSV from eigensolves can move in the last digits
 under another OpenBLAS kernel.  ``main`` writes the files once the command
 has done all of its work, so a failed command writes none.
 
-Exit codes: 0 success, 2 usage error (a malformed or out-of-range value:
-``UsageError`` or ``ValueError``), 3 numerical failure
+``fields`` writes the Husimi and phase fields of the ground level once
+per symmetry orbit of their grids (``distributions.symmetric_husimi`` and
+``symmetric_phase``), so both CSVs are exactly S3-invariant; an E-doublet
+level is written as the mixture of its two partners.
+
+Exit codes: 0 success, 2 usage error (a malformed or out-of-range value,
+a non-finite coupling flag, or couplings whose Hamiltonian entries
+overflow: ``UsageError`` or ``ValueError``), 3 numerical failure
 (``errors.NumericalError`` or a LAPACK ``LinAlgError``).  Any other
 exception propagates.
 """
@@ -40,6 +47,8 @@ from .semiclassical import (ClassicalPoint, find_fixed_points,
 from .spectral import spectrum
 
 _CSV_CHUNK_ROWS = 4096              # rows ``write_csv`` formats at a time
+# Coupling flags; ``main`` refuses a non-finite value of any of them.
+_COUPLINGS = ("omega", "chi", "mu", "kappa", "lam")
 
 
 class UsageError(Exception):
@@ -56,32 +65,49 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _format_column(col):
-    """The cells of one column as a sequence of UTF-8 bytes.
+def _float_texts(bits: np.ndarray):
+    """(sorted distinct patterns, their texts as UTF-8 bytes) of the bit
+    patterns of a float column."""
+    distinct = np.sort(bits)
+    keep = np.ones(distinct.size, dtype=bool)
+    keep[1:] = distinct[1:] != distinct[:-1]
+    distinct = distinct[keep]
+    return distinct, np.array([repr(v).encode()
+                               for v in distinct.view(np.float64).tolist()],
+                              dtype=object)
 
-    A float array is formatted once per distinct bit pattern, so repeated
-    grid values cost one ``repr`` and -0.0 stays apart from 0.0.
+
+def _column_chunks(col, rows: int):
+    """The cells of one column as UTF-8 bytes, ``rows`` at a time.
+
+    A float array is formatted once per distinct bit pattern of the whole
+    column, so -0.0 stays apart from 0.0, and each chunk looks its texts
+    up; other columns go through ``_fmt`` value by value.
     """
-    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
-        col = np.asarray(col, dtype=np.float64)
-        bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
-        text = [repr(v).encode() for v in bits.view(np.float64).tolist()]
-        return np.array(text, dtype=object)[inverse]
-    return [_fmt(v).encode() for v in col]
+    if not (isinstance(col, np.ndarray) and col.dtype.kind == "f"):
+        for i in range(0, len(col), rows):
+            yield [_fmt(v).encode() for v in col[i:i + rows]]
+        return
+    bits = np.asarray(col, dtype=np.float64).view(np.uint64)
+    distinct, texts = _float_texts(bits)
+    for i in range(0, bits.size, rows):
+        yield texts[np.searchsorted(distinct, bits[i:i + rows])]
 
 
 def write_csv(path: Path, header, columns):
     """Write equal-length columns under a header row in row chunks, so that
-    peak memory does not grow with the table; ragged columns raise
-    ValueError before the file is opened."""
+    peak memory does not grow with the per-row texts; ragged columns raise
+    ValueError before the file is opened.  The bytes are those of ``_fmt``
+    applied value by value."""
     lengths = {len(col) for col in columns} or {0}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     with open(path, "wb") as f:
         f.write(",".join(header).encode() + b"\n")
-        for i in range(0, lengths.pop(), _CSV_CHUNK_ROWS):
-            cells = [_format_column(c[i:i + _CSV_CHUNK_ROWS]) for c in columns]
-            f.write(b"\n".join(map(b",".join, zip(*cells))) + b"\n")
+        for cells in zip(*(_column_chunks(c, _CSV_CHUNK_ROWS)
+                           for c in columns)):
+            f.write(b"\n".join(map(b",".join, zip(*cells))))
+            f.write(b"\n")
 
 
 def write_metadata(path: Path, payload: dict):
@@ -202,17 +228,20 @@ def cmd_scaling(args) -> dict:
 
 
 def cmd_fields(args) -> dict:
-    from .distributions import (count_local_maxima, husimi_population,
-                                phase_distribution, phase_marginal_variance)
+    from .distributions import (count_local_maxima, phase_marginal_variance,
+                                symmetric_husimi, symmetric_phase)
 
+    if args.pop_grid < 1 or args.phase_grid < 1:
+        raise UsageError("--pop-grid and --phase-grid must be at least 1")
     n = _single_n(args)
     params = resolve_params(args, n)
     result = spectrum(params, 1)
-    state = result.states[0]
-    i_grid = np.linspace(0.0, float(n), args.pop_grid)
-    husimi = husimi_population(state, i_grid, i_grid)
-    phi_grid = 2.0 * np.pi * np.arange(args.phase_grid) / args.phase_grid
-    phases = phase_distribution(state, phi_grid, phi_grid)
+    # One partner of an E doublet is not S3-invariant; their mixture is.
+    states = (spectrum(params, 2).states if result.labels[0] == "E"
+              else result.states)
+    husimi = symmetric_husimi(states, args.pop_grid)
+    phases = symmetric_phase(states, args.phase_grid)
+    i_grid, phi_grid = husimi.axis1, phases.axis1
     valid = husimi.mask.ravel()
     return {
         "husimi.csv": (["i1", "i2", "q"],
@@ -427,15 +456,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parsers():
+    """(the ``triwell`` parser, the --config pre-parser), built once per
+    process: parsing does not change them."""
+    pre = argparse.ArgumentParser(prog="triwell", add_help=False,
+                                  allow_abbrev=False)
+    pre.add_argument("--config")
+    return build_parser(), pre
+
+
 def _with_config(argv) -> list:
     """argv with the entries of the file given by --config, if any, put
     after the command name as that command's own flags: ``key = v1 v2``
     reads as ``--key v1 v2``, so an explicit flag still wins and a key the
     command does not take is a usage error."""
-    pre = argparse.ArgumentParser(prog="triwell", add_help=False,
-                                  allow_abbrev=False)
-    pre.add_argument("--config")
-    name = pre.parse_known_args(argv)[0].config
+    name = _parsers()[1].parse_known_args(argv)[0].config
     if name is None:
         return argv
     path = Path(name)
@@ -458,9 +494,14 @@ def main(argv=None) -> int:
     _one_blas_thread()      # bytes independent of OPENBLAS_NUM_THREADS
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_with_config(argv))
+        args = _parsers()[0].parse_args(_with_config(argv))
         if len(set(args.n)) != len(args.n):
             raise UsageError(f"--n values must be distinct, got {args.n}")
+        for flag in _COUPLINGS:
+            value = getattr(args, flag, None)
+            if value is not None and not math.isfinite(value):
+                raise UsageError(f"couplings must be finite: --{flag} "
+                                 f"{value!r}")
         t0 = time.perf_counter()
         files = args.func(args)
         stamp = {"command": args.command, "triwell_version": __version__,

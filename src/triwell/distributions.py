@@ -6,10 +6,20 @@ finite.  Grid points are taken in blocks whose (points x basis) log matrix
 is built, exponentiated and summed in place in two reused buffers.  The
 phase distribution is the squared collective-phase overlap, normalized
 automatically because (n1, n2) uniquely labels basis states.
+
+``husimi_population`` and ``phase_distribution`` take any grid.  On the
+standard grids of the ``fields`` command, ``symmetric_husimi`` and
+``symmetric_phase`` give every cell of an orbit of the mode permutations
+(S3; for the phase field also conjugation, as the amplitudes are real) the
+value of one representative cell, computed as on the full grid.  The
+fields are then exactly invariant, and the Husimi sum runs once per orbit.
+They take the states of one level and return the field of their equal
+mixture, so the two partners of an E doublet give an invariant field.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +38,8 @@ class ScalarField2D:
         return float(np.max(self.values[self.mask])) if np.any(self.mask) else 0.0
 
 
-# Elements of the (points x dim) log matrix evaluated at once.
+# Elements of the (points x dim) log matrix evaluated at once, and cells
+# of the phase grid copied at once from their representatives.
 _BLOCK = 1 << 14
 # Finite stand-in for ln 0: times n = 0 it gives -0.0, not NaN.
 _LOG_FLOOR = -1e308
@@ -130,6 +141,92 @@ def phase_distribution(state: QuantumState, phi1_grid,
     return ScalarField2D(phi1, phi2, values, mask)
 
 
+def simplex_orbits(points: int):
+    """Orbits of the simplex cells of the ``points`` x ``points`` grid
+    I = (0..points-1) N/(points-1) under the mode permutations.
+
+    Cell (a, b) with a + b <= points - 1 holds the occupations (a, b, c),
+    c = points - 1 - a - b, in grid steps, and S3 permutes (a, b, c).  The
+    representative of an orbit is its cell with a <= b <= c, so that c is
+    largest and I3 > 0.  Returns (a, b, rep_a, rep_b, orbit): the simplex
+    cells in row-major order, the representatives, and for each cell the
+    index of its representative.
+    """
+    top = points - 1
+    a, b = np.nonzero(np.add.outer(np.arange(points), np.arange(points))
+                      <= top)
+    low, mid, _ = np.sort((a, b, top - a - b), axis=0)
+    keys, orbit = np.unique(low * points + mid, return_inverse=True)
+    return (a, b, *np.divmod(keys, points), orbit)
+
+
+def torus_orbits(points: int) -> np.ndarray:
+    """For each cell of the ``points`` x ``points`` phase grid
+    phi = 2 pi (0..points-1)/points, in row-major order, the flat index of
+    its orbit's representative: the smallest flat index of the orbit.
+
+    The group is the mode permutations, which permute (k1, k2, 0) with the
+    phase of mode 3 as the zero (so (k1, k2) -> (-k1, k2 - k1) swaps modes
+    1 and 3), together with conjugation (k1, k2) -> (-k1, -k2).
+    """
+    fits = points * points <= np.iinfo(np.int32).max
+    dtype = np.int32 if fits else np.int64
+    r = np.arange(points, dtype=dtype)
+    k = (r[:, None], r[None, :], 0)
+    # (k_p - k_q) mod points; conjugation turns (p, q) into (q, p)
+    forms = {(p, q): (k[p] - k[q]) % points
+             for p, q in itertools.permutations(range(3), 2)}
+    rep = np.arange(points * points, dtype=dtype).reshape(points, points)
+    image = np.empty_like(rep)
+    for i, j, zero in itertools.permutations(range(3)):
+        for x, y in (((i, zero), (j, zero)), ((zero, i), (zero, j))):
+            np.multiply(forms[x], points, out=image)
+            image += forms[y]
+            np.minimum(rep, image, out=rep)
+    return rep.ravel()
+
+
+def symmetric_husimi(states, points: int) -> ScalarField2D:
+    """Q_I of the equal mixture of ``states`` (one level's partners) on the
+    grid I1, I2 = (0..points-1) N/(points-1), with one Husimi sum per
+    ``simplex_orbits`` orbit.
+
+    A representative cell reads exactly what ``husimi_population`` gives
+    there (averaged over the states); every other cell of its orbit reads
+    the same value.
+    """
+    n = states[0].basis.total_particles
+    grid = np.linspace(0.0, float(n), points)
+    if n == 0:                       # one state; every cell is I = 0
+        return husimi_population(states[0], grid, grid)
+    a, b, rep_a, rep_b, orbit = simplex_orbits(points)
+    q = np.mean([np.clip(_husimi_points(s, grid[rep_a], grid[rep_b]),
+                         0.0, None) for s in states], axis=0)
+    values = np.zeros((points, points))
+    values[a, b] = q[orbit]
+    mask = np.zeros((points, points), dtype=bool)
+    mask[a, b] = True
+    return ScalarField2D(grid, grid, values, mask)
+
+
+def symmetric_phase(states, points: int) -> ScalarField2D:
+    """Phase distribution of the equal mixture of ``states`` on the grid
+    phi1, phi2 = 2 pi (0..points-1)/points, each cell set to the value of
+    its ``torus_orbits`` representative."""
+    phi = 2.0 * np.pi * np.arange(points) / points
+    rep = torus_orbits(points)
+    values = phase_distribution(states[0], phi, phi).values
+    for state in states[1:]:
+        values += phase_distribution(state, phi, phi).values
+    values /= len(states)
+    # A representative is its own representative, so copying in place
+    # never overwrites a value still to be read.
+    flat = values.reshape(-1)
+    for lo in range(0, flat.size, _BLOCK):
+        flat[lo:lo + _BLOCK] = flat[rep[lo:lo + _BLOCK]]
+    return ScalarField2D(phi, phi, values, np.ones(values.shape, dtype=bool))
+
+
 def phase_marginal_variance(field: ScalarField2D, axis: int = 0) -> float:
     """Circular variance 1 - |<e^{i phi}>| of one phase marginal."""
     if axis == 0:
@@ -147,22 +244,47 @@ def phase_marginal_variance(field: ScalarField2D, axis: int = 0) -> float:
 
 def count_local_maxima(field: ScalarField2D, rel_threshold: float) -> int:
     """Strict 8-neighborhood maxima above rel_threshold * max, with plateau
-    components merged (symmetric states produce exact ties)."""
+    components merged (symmetric states produce exact ties).
+
+    A cell is a candidate where it equals the largest value of its 3 x 3
+    neighborhood; edge-connected candidates form one plateau, which counts
+    when every valid cell bordering it on an edge is lower."""
     if not 0.0 < rel_threshold < 1.0:
         raise ValueError("relative threshold must lie in (0, 1)")
     vals = np.where(field.mask, field.values, -np.inf)
     peak = field.max_value()
     if peak <= 0.0:
         return 0
-    from scipy import ndimage
-    local_max = ndimage.maximum_filter(vals, size=3, mode="constant",
-                                       cval=-np.inf)
+    local_max = vals.copy()
+    for shifted in _shifts(vals, -np.inf, diagonal=True):
+        np.maximum(local_max, shifted, out=local_max)
     candidates = (vals == local_max) & field.mask & (vals > rel_threshold * peak)
-    labels, count = ndimage.label(candidates)
+    # label each plateau by the largest flat index in it
+    label = np.where(candidates, np.arange(vals.size).reshape(vals.shape), -1)
+    while True:
+        spread = label.copy()
+        for shifted in _shifts(label, -1):
+            np.maximum(spread, shifted, out=spread)
+        spread[~candidates] = -1
+        if np.array_equal(spread, label):
+            break
+        label = spread
     total = 0
-    for comp in range(1, count + 1):
-        inside = labels == comp
-        ring = ndimage.binary_dilation(inside) & ~inside & field.mask
+    for comp in np.unique(label[candidates]):
+        inside = label == comp
+        ring = np.logical_or.reduce(_shifts(inside, False)) & ~inside \
+            & field.mask
         if not np.any(ring) or np.max(vals[ring]) < np.min(vals[inside]):
             total += 1
     return total
+
+
+def _shifts(a: np.ndarray, fill, diagonal: bool = False) -> list:
+    """``a`` moved by one cell along each edge (and each diagonal), with
+    ``fill`` moved in from outside."""
+    rows, cols = a.shape
+    padded = np.pad(a, 1, constant_values=fill)
+    steps = [(0, 1), (2, 1), (1, 0), (1, 2)]
+    if diagonal:
+        steps += [(0, 0), (0, 2), (2, 0), (2, 2)]
+    return [padded[i:i + rows, j:j + cols] for i, j in steps]

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .algebra import HamiltonianTerms, ModelParams, model_context
@@ -58,9 +59,12 @@ def eigensolve_lowest(terms: HamiltonianTerms, params: ModelParams, k: int):
     ``terms`` is the whole N-particle space or one of its symmetry blocks.
     LAPACK solves it while the whole space, of dimension (N+1)(N+2)/2, is
     at most DENSE_LIMIT or k exceeds a quarter of the block; Krylov
-    otherwise.  Non-finite couplings raise ValueError on either path; past
-    that check every matrix built from them is finite, so the LAPACK
-    wrappers here and in ``purity`` skip their own finiteness scans.
+    otherwise.  Non-finite couplings raise ValueError on either path, and
+    the LAPACK wrappers here and in ``purity`` skip their own finiteness
+    scans.  Finite couplings can still overflow an entry of the matrix; a
+    solve that then fails or returns fewer than k pairs or a non-finite
+    value raises ValueError naming those entries, so only a failed solve
+    scans the matrix.
     """
     if not np.isfinite([params.omega_eff, params.kappa, params.lam]).all():
         raise ValueError(f"couplings must be finite: omega_eff = "
@@ -76,7 +80,15 @@ def eigensolve_lowest(terms: HamiltonianTerms, params: ModelParams, k: int):
                              check_finite=False)
     else:
         m = terms.hamiltonian(params)
-        vals, vecs = _krylov_lowest(m, k)
+        try:
+            vals, vecs = _krylov_lowest(m, k)
+        except spla.ArpackError:
+            _check_entries(m, params)
+            raise
+    if vals.size < k or not np.all(np.isfinite(vals)):
+        _check_entries(m, params)
+        raise SolverError(f"the eigensolver returned {vals.size} of {k} "
+                          f"pairs or a non-finite value")
     vecs = _fix_signs(vecs[:, np.argsort(vals)])
     vals = np.sort(vals)
     residuals = np.linalg.norm(m @ vecs - vecs * vals[None, :], axis=0)
@@ -90,6 +102,18 @@ def eigensolve_lowest(terms: HamiltonianTerms, params: ModelParams, k: int):
         residuals = np.linalg.norm(m @ vecs - vecs * vals[None, :], axis=0)
         _check_residuals(residuals, scale)
     return vals, vecs, m
+
+
+def _check_entries(m, params: ModelParams):
+    """Raise ValueError if the dense or CSR matrix ``m`` holds entries that
+    overflowed to inf or nan."""
+    data = m.data if sp.issparse(m) else m
+    bad = np.count_nonzero(~np.isfinite(data))
+    if bad:
+        raise ValueError(
+            f"Hamiltonian entries overflow: {bad} of {data.size} stored "
+            f"entries are not finite at omega_eff = {params.omega_eff:g}, "
+            f"kappa = {params.kappa:g}, lam = {params.lam:g}")
 
 
 def _check_residuals(residuals, scale):

@@ -14,6 +14,7 @@ from triwell.algebra import (ModelParams, generators, hamiltonian_terms,
                              model_context)
 from triwell.coherent import (ClassicalPoint, QuantumState, coherent_state,
                               log_multinomial)
+from triwell.distributions import husimi_population, phase_distribution
 from triwell.errors import BracketingError
 from triwell.fock import (_E_PARTNERS, FockBasis, build_basis, check_hermitian,
                          hop_operator, lex_rank)
@@ -512,6 +513,41 @@ def husimi_population_loop(state, i1_grid, i2_grid):
                         - n * np.log(n / i3))
             values[a, b] = float(np.sum(np.exp(logs)))
     return np.clip(values, 0.0, None), mask
+
+
+def fields_full_grid(states, pop_grid: int, phase_grid: int):
+    """The Husimi and phase fields of the equal mixture of ``states`` on the
+    ``fields`` grids, every cell evaluated: (Husimi values, Husimi mask,
+    phase values)."""
+    n = states[0].basis.total_particles
+    i_grid = np.linspace(0.0, float(n), pop_grid)
+    phi = 2.0 * np.pi * np.arange(phase_grid) / phase_grid
+    husimi = [husimi_population(s, i_grid, i_grid) for s in states]
+    phase = [phase_distribution(s, phi, phi).values for s in states]
+    return (np.mean([f.values for f in husimi], axis=0), husimi[0].mask,
+            np.mean(phase, axis=0))
+
+
+def count_local_maxima_ndimage(field, rel_threshold: float) -> int:
+    """``distributions.count_local_maxima`` with scipy.ndimage: a 3 x 3
+    maximum filter, edge-connected labels and a one-cell dilation."""
+    from scipy import ndimage
+    vals = np.where(field.mask, field.values, -np.inf)
+    peak = field.max_value()
+    if peak <= 0.0:
+        return 0
+    local_max = ndimage.maximum_filter(vals, size=3, mode="constant",
+                                       cval=-np.inf)
+    candidates = ((vals == local_max) & field.mask
+                  & (vals > rel_threshold * peak))
+    labels, count = ndimage.label(candidates)
+    total = 0
+    for comp in range(1, count + 1):
+        inside = labels == comp
+        ring = ndimage.binary_dilation(inside) & ~inside & field.mask
+        if not np.any(ring) or np.max(vals[ring]) < np.min(vals[inside]):
+            total += 1
+    return total
 
 
 def point_from_canonical(i1: float, i2: float, phi1: float, phi2: float,

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from triwell import cli
+from triwell.algebra import ModelParams
 from triwell.cli import _fmt, build_parser, main, write_csv
+from triwell.distributions import husimi_population, phase_distribution
 from triwell.purity import power_law_fit
+from triwell.spectral import spectrum
 
 
 def read(path):
@@ -58,6 +61,25 @@ def test_write_csv_bytes(tmp_path):
     assert read(path) == "a,b\n"
     with pytest.raises(ValueError):
         write_csv(path, ["a", "b"], [np.zeros(2), [1]])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
+def test_write_csv_bytes_with_repeats_across_chunks(tmp_path, monkeypatch,
+                                                    rows):
+    """Values repeated in several row chunks, -0.0 next to 0.0, nan and
+    inf among them, come out as ``_fmt`` writes them one by one: a float
+    column is formatted once per file and looked up chunk by chunk."""
+    monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", rows)
+    floats = np.array([0.0, -0.0, 0.1, np.nan, -0.0, 0.0, np.inf, 0.1,
+                       -np.inf, np.nan, 0.1, -0.0, 1e-310, 0.0, np.inf])
+    columns = [floats, floats[::-1].astype(np.float32), floats.tolist(),
+               range(floats.size)]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["f", "f32", "list", "i"], columns)
+    rows_text = [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+    assert read(path) == "\n".join(["f,f32,list,i"] + rows_text) + "\n"
+    assert read(path).splitlines()[1:3] == ["0.0,inf,0.0,0",
+                                            "-0.0,0.0,-0.0,1"]
 
 
 def test_write_csv_in_row_chunks(tmp_path):
@@ -207,6 +229,55 @@ def test_non_finite_couplings_exit_two(tmp_path, capsys, n, argv):
     assert main(argv + ["--n", n, "--out", str(tmp_path)]) == 2
     assert "couplings must be finite" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, flags", [
+    (["spectrum"], "omega chi mu kappa lam"),
+    (["fields"], "omega chi mu kappa lam"),
+    (["fixed-points"], "omega chi mu kappa lam"),
+    (["trajectory", "--t-max", "1"], "omega chi mu kappa lam"),
+    (["purity-scan", "--chi-steps", "3"], "omega mu"),
+    (["scaling", "--n", "10", "12"], "omega mu"),
+    (["theta-min"], "omega mu")])
+def test_non_finite_coupling_flag_exits_two_on_every_command(
+        tmp_path, capsys, command, flags):
+    """A nan or inf coupling is a usage error on every command that takes
+    the flag (theta-min and fixed-points once failed as numerical)."""
+    for flag in flags.split():
+        for value in ("nan", "-inf"):
+            assert main([*command, f"--{flag}={value}",
+                         "--out", str(tmp_path)]) == 2
+            assert "couplings must be finite" in capsys.readouterr().err
+            assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("n", ["10", "70"])
+def test_overflowing_hamiltonian_entries_exit_two(tmp_path, capsys, n):
+    """Finite couplings whose Hamiltonian entries overflow to inf: a usage
+    error naming the entries, on the dense path (N = 10) and the Krylov
+    path (N = 70)."""
+    with np.errstate(over="ignore"):
+        assert main(["spectrum", "--n", n, "--chi", "1.7e308",
+                     "--out", str(tmp_path)]) == 2
+    assert "Hamiltonian entries overflow" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path):
+    """``main`` builds its parser once per process; a --config call and a
+    plain call after it each parse their own flags."""
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n = 9\nchi = 1.5\nk = 2\n")
+    assert main(["spectrum", "--config", str(cfg), "--out",
+                 str(tmp_path / "a")]) == 0
+    assert main(["spectrum", "--n", "7", "--out", str(tmp_path / "b")]) == 0
+    first = json.loads(read(tmp_path / "a" / "spectrum.meta.json"))
+    plain = json.loads(read(tmp_path / "b" / "spectrum.meta.json"))
+    assert (first["params"]["n_particles"], first["k"]) == (9, 2)
+    assert first["params"]["chi"] == pytest.approx(1.5)
+    assert (plain["params"]["n_particles"], plain["k"]) == (7, 4)
+    assert plain["params"]["chi"] == 0.0
+    assert cli._parsers() is cli._parsers()
 
 
 @pytest.mark.parametrize("argv", [
@@ -529,3 +600,71 @@ def test_sidecars_carry_no_purity_route(tmp_path, omega):
         assert meta["ground_sectors"] == ["A1"] * 3
     assert read(tmp_path / "purity_N6.csv").splitlines()[0] == \
         "chi,purity,dP_dchi"
+
+
+def _husimi_cells(path, points):
+    """husimi.csv rows by grid cell (a, b), as their text."""
+    lines = read(path).splitlines()[1:]
+    cells = [(a, b) for a in range(points) for b in range(points)
+             if a + b <= points - 1]
+    assert len(lines) == len(cells)
+    return {cell: line.split(",")[2] for cell, line in zip(cells, lines)}
+
+
+def _phase_cells(path, points):
+    lines = read(path).splitlines()[1:]
+    assert len(lines) == points * points
+    return {divmod(k, points): line.split(",")[2]
+            for k, line in enumerate(lines)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "30", "--chi", "0.0"], ["--n", "30", "--chi", "2.0"],
+    ["--n", "30", "--chi", "3.0"], ["--n", "60", "--chi", "3.0"],
+    ["--n", "31", "--omega", "1", "--chi", "1.0"]])
+def test_fields_csv_bitwise_invariant_under_mode_maps(tmp_path, argv):
+    """husimi.csv and phase.csv hold the same text on every cell of an
+    orbit: the cyclic map and the 1 <-> 2 swap of the modes, and for the
+    phase field also conjugation.  The last case is an E-doublet ground
+    level (N = 31, omega = +1), written as the mixture of its partners."""
+    assert main(["fields", *argv, "--pop-grid", "101", "--phase-grid",
+                 "256", "--out", str(tmp_path)]) == 0
+    q = _husimi_cells(tmp_path / "husimi.csv", 101)
+    for (a, b), text in q.items():
+        assert q[(100 - a - b, a)] == text and q[(b, a)] == text
+    m = 256
+    phase = _phase_cells(tmp_path / "phase.csv", m)
+    for (k1, k2), text in phase.items():
+        for image in [(-k2 % m, (k1 - k2) % m), (k2, k1), (-k1 % m, -k2 % m)]:
+            assert phase[image] == text
+    labels = json.loads(read(tmp_path / "fields.meta.json"))["labels"]
+    assert labels == (["E"] if "--omega" in argv else ["A1"])
+
+
+@pytest.mark.parametrize("pop, phase", [("1", "1"), ("2", "2"), ("3", "3"),
+                                        ("3", "5")])
+def test_fields_on_the_smallest_grids(tmp_path, pop, phase):
+    """The fields of grids with one to five points per axis match the
+    general-grid evaluation."""
+    assert main(["fields", "--n", "6", "--chi", "2.0", "--pop-grid", pop,
+                 "--phase-grid", phase, "--out", str(tmp_path)]) == 0
+    state = spectrum(ModelParams.from_reduced(-1.0, 2.0, 0.0, 6), 1).states[0]
+    grid = np.linspace(0.0, 6.0, int(pop))
+    full = husimi_population(state, grid, grid)
+    q = _husimi_cells(tmp_path / "husimi.csv", int(pop))
+    assert np.allclose([float(q[cell]) for cell in sorted(q)],
+                       full.values[full.mask], rtol=1e-12, atol=0.0)
+    phi = 2.0 * np.pi * np.arange(int(phase)) / int(phase)
+    density = _phase_cells(tmp_path / "phase.csv", int(phase))
+    assert np.allclose([float(density[cell]) for cell in sorted(density)],
+                       phase_distribution(state, phi, phi).values.ravel(),
+                       rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("flag", ["--pop-grid", "--phase-grid"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_fields_grid_below_one_exits_two(tmp_path, capsys, flag, value):
+    assert main(["fields", "--n", "6", flag, value, "--out",
+                 str(tmp_path)]) == 2
+    assert "at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

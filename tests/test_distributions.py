@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
-from oracles import husimi_population_loop, husimi_quadrature_oracle, index_of
+from oracles import (count_local_maxima_ndimage, fields_full_grid,
+                     husimi_population_loop, husimi_quadrature_oracle,
+                     index_of)
 from triwell import distributions
 from triwell.algebra import ModelParams, model_context
 from triwell.coherent import ClassicalPoint, QuantumState, coherent_state
 from triwell.fock import symmetry_sectors
 from triwell.distributions import (ScalarField2D, count_local_maxima,
                                    husimi_population, phase_distribution,
-                                   phase_marginal_variance)
-from triwell.spectral import ground_state
+                                   phase_marginal_variance, simplex_orbits,
+                                   symmetric_husimi, symmetric_phase,
+                                   torus_orbits)
+from triwell.spectral import ground_state, spectrum
 
 
 def _ground(chi, n=10):
@@ -213,3 +217,105 @@ def test_count_local_maxima_plateau_merged():
     field = ScalarField2D(np.arange(9.0), np.arange(9.0), vals,
                           np.ones((9, 9), dtype=bool))
     assert count_local_maxima(field, 0.5) == 1
+
+
+def test_orbit_counts_and_closure():
+    """884 orbits of the 101-point simplex grid and 5,590 of the 256 x 256
+    phase torus; every map of the group sends a cell into its own orbit."""
+    a, b, rep_a, rep_b, orbit = simplex_orbits(101)
+    assert rep_a.size == 884 and a.size == 5151
+    c = 100 - a - b
+    rep = {(x, y): k for k, (x, y) in enumerate(zip(a, b))}
+    for image_a, image_b in [(c, a), (b, a)]:       # cyclic map, 1 <-> 2
+        moved = [rep[(x, y)] for x, y in zip(image_a, image_b)]
+        assert np.array_equal(orbit[moved], orbit)
+    assert np.all((rep_a <= rep_b) & (rep_b <= 100 - rep_a - rep_b))
+    m = 256
+    rep = torus_orbits(m)
+    assert np.unique(rep).size == 5590
+    assert np.array_equal(rep[rep], rep)        # representatives are fixed
+    k1, k2 = np.divmod(np.arange(m * m), m)
+    for u, v in [(-k2, k1 - k2), (k2, k1), (-k1, -k2)]:  # cyclic, swap, conj
+        assert np.array_equal(rep[(u % m) * m + v % m], rep)
+
+
+def _fields_states(n, omega, chi):
+    """The states of the ground level, both partners for an E doublet."""
+    params = ModelParams.from_reduced(omega, chi, 0.0, n)
+    result = spectrum(params, 2)
+    return result.states[:2] if result.labels[0] == "E" \
+        else result.states[:1]
+
+
+@pytest.mark.parametrize("n, omega, chi", [
+    (30, -1.0, 0.0), (30, -1.0, 2.0), (30, -1.0, 3.0), (60, -1.0, 3.0),
+    (31, 1.0, 1.0)])
+def test_symmetric_fields_on_representatives_equal_full_grid(n, omega, chi):
+    """Representative cells read the full-grid evaluation bit for bit,
+    every other cell reads its representative and lies within 1e-12 of the
+    field maximum of the full grid; at N = 31, omega = +1 the ground level
+    is an E doublet and the fields are those of the partner mixture."""
+    states = _fields_states(n, omega, chi)
+    assert len(states) == (2 if omega > 0 else 1)
+    q_full, mask, phase_full = fields_full_grid(states, 101, 256)
+    husimi = symmetric_husimi(states, 101)
+    assert np.array_equal(husimi.mask, mask)
+    a, b, rep_a, rep_b, orbit = simplex_orbits(101)
+    assert np.array_equal(husimi.values[rep_a, rep_b], q_full[rep_a, rep_b])
+    assert np.array_equal(husimi.values[a, b], q_full[rep_a, rep_b][orbit])
+    assert np.max(np.abs(husimi.values - q_full)) <= 1e-12 * q_full.max()
+    phase = symmetric_phase(states, 256)
+    rep = torus_orbits(256)
+    flat, full = phase.values.ravel(), phase_full.ravel()
+    assert np.array_equal(flat, full[rep])
+    assert np.max(np.abs(flat - full)) <= 1e-12 * full.max()
+
+
+def test_one_partner_of_an_e_doublet_is_not_symmetric():
+    """Why ``fields`` mixes the partners: each one alone breaks the cyclic
+    symmetry well above roundoff, their mixture does not."""
+    states = _fields_states(31, 1.0, 1.0)
+    grid = np.linspace(0.0, 31.0, 101)
+    a, b, *_ = simplex_orbits(101)
+
+    def cyclic_defect(q):
+        return np.max(np.abs(q[100 - a - b, a] - q[a, b])) / q.max()
+
+    fields = [husimi_population(s, grid, grid).values for s in states]
+    assert min(cyclic_defect(q) for q in fields) > 1e-9
+    assert cyclic_defect(np.mean(fields, axis=0)) < 1e-12
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 5])
+def test_symmetric_fields_on_small_grids(points):
+    state = _ground(2.0, n=6)
+    grid = np.linspace(0.0, 6.0, points)
+    husimi = symmetric_husimi([state], points)
+    full = husimi_population(state, grid, grid)
+    assert np.array_equal(husimi.mask, full.mask)
+    assert np.allclose(husimi.values, full.values, rtol=1e-12, atol=0.0)
+    phi = 2.0 * np.pi * np.arange(points) / points
+    phase = symmetric_phase([state], points)
+    full = phase_distribution(state, phi, phi).values
+    assert np.allclose(phase.values, full, rtol=1e-12, atol=1e-15)
+
+
+def test_symmetric_husimi_without_particles():
+    """N = 0: every grid cell is I = 0, all valid, and reads |c_0|^2."""
+    state = _ground(0.0, n=0)
+    field = symmetric_husimi([state], 4)
+    assert field.mask.all() and np.all(field.values == 1.0)
+
+
+def test_count_local_maxima_matches_ndimage():
+    """The numpy count agrees with scipy.ndimage's filter, labels and
+    dilation on random fields with many exact ties and masked cells."""
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        rows, cols = rng.integers(1, 10, 2)
+        values = rng.integers(0, rng.integers(1, 5), (rows, cols)) * 1.0
+        mask = rng.random((rows, cols)) < rng.choice([0.6, 1.0])
+        field = ScalarField2D(np.arange(rows), np.arange(cols), values, mask)
+        for rel in (0.2, 0.6):
+            assert count_local_maxima(field, rel) == \
+                count_local_maxima_ndimage(field, rel)

@@ -107,6 +107,21 @@ def test_non_finite_couplings_raise_value_error(n, omega, kappa, lam):
             eigensolve_lowest(terms, params, 1)
 
 
+@pytest.mark.parametrize("n", [10, 70])
+def test_overflowing_entries_raise_value_error(n):
+    """Finite couplings whose products with the operators overflow: the
+    solve fails (no pairs from LAPACK at N = 10, an ARPACK error at
+    N = 70), and the error names the non-finite entries."""
+    ctx = model_context(n)
+    params = ModelParams.from_reduced(-1.0, 1.7e308, 0.0, n)
+    assert np.isfinite(params.kappa)
+    for terms in (ctx.sectors[0].terms,
+                  HamiltonianTerms.from_matrices(*ctx.operators)):
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="entries overflow"):
+            eigensolve_lowest(terms, params, 1)
+
+
 def test_deterministic_repeat():
     params = ModelParams.from_reduced(-1.0, 2.0, 0.1, 15)
     r1 = spectrum(params, 3)
